@@ -22,14 +22,12 @@ from .analytic import (
 from .baselines import (
     BaselineConfig,
     fd_thresholds_rate_matched,
-    hd_outage,
     hd_outage_all,
     hd_thresholds_rate_matched,
-    oma_outage,
     oma_outage_all,
     oma_threshold_rate_sum,
 )
-from .channel import ChannelDraw, draw, draw_batch, seeded_stream
+from .channel import draw_batch, seeded_stream
 from .config import (
     ConfigError,
     DerivedConstants,
@@ -42,7 +40,6 @@ from .config import (
     threshold_from_rate,
 )
 from .montecarlo import OutageEstimate, estimate, estimate_all_users
-from .sidnr import SidnrValue, outage_indicator, sidnr
 from .specfun import (
     MultinomialTable,
     gamma_norm_cdf,
@@ -57,19 +54,16 @@ __all__ = [
     "__version__",
     "AsymptoteReport",
     "BaselineConfig",
-    "ChannelDraw",
     "ConfigError",
     "DerivedConstants",
     "MultinomialTable",
     "NumericsError",
     "OutageEstimate",
-    "SidnrValue",
     "SystemConfig",
     "cee_floor",
     "config_hash",
     "default_config",
     "derive_constants",
-    "draw",
     "draw_batch",
     "estimate",
     "estimate_all_users",
@@ -77,12 +71,10 @@ __all__ = [
     "feasibility",
     "gamma_norm_cdf",
     "gamma_pdf",
-    "hd_outage",
     "hd_outage_all",
     "hd_thresholds_rate_matched",
     "load_config",
     "multinomial_coeffs",
-    "oma_outage",
     "oma_outage_all",
     "oma_threshold_rate_sum",
     "op_asymptotic",
@@ -92,9 +84,7 @@ __all__ = [
     "ordered_cdf",
     "ordered_pdf",
     "ordered_sf",
-    "outage_indicator",
     "seeded_stream",
-    "sidnr",
     "tail_weight_integral",
     "threshold_from_rate",
 ]

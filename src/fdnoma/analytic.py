@@ -532,8 +532,10 @@ def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:
         # Loop interference grows with transmit power: the first hop
         # saturates and sets a floor shared by the whole curve.  The
         # residual interference power is SNR-free here (scale * snr**0).
+        # g1/g3 is the relay ratio without its noise term; no estimation
+        # error reaches this branch, so the estimated S-R power is the true one.
         x = hop1_amp * lam
-        floor = 1.0 - _relay_ratio_sf_ideal(x, dc)
+        floor = 1.0 - _relay_ratio_sf(x, replace(dc, noise_sr=0.0))
         return AsymptoteReport(
             user=l, regime="li_floor", diversity_order=0.0, array_gain=None,
             floor_value=floor,
@@ -561,18 +563,3 @@ def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:
         floor_value=None, hop1_gain=chi1, hop2_gain=chi2,
     )
 
-
-def _relay_ratio_sf_ideal(x, dc: DerivedConstants):
-    """Survival of g1/g3 at level x: the li_floor building block."""
-    cfg = dc.cfg
-    k1 = cfg.m_sr * cfg.tx_antennas
-    alpha1 = cfg.m_sr / dc.power_sr
-    rho = cfg.m_li / dc.power_li
-    terms = [
-        rho ** cfg.m_li
-        * math.exp(math.lgamma(n + cfg.m_li) - math.lgamma(n + 1) - math.lgamma(cfg.m_li))
-        * (x * alpha1) ** n
-        * (x * alpha1 + rho) ** (-(n + cfg.m_li))
-        for n in range(k1)
-    ]
-    return math.fsum(terms)

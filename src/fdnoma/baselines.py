@@ -1,34 +1,35 @@
 """Half-duplex NOMA and full-duplex OMA comparison systems.
 
 Both baselines reuse the same channel statistics and run Monte Carlo
-only:
+only.  Neither has an outage event of its own: each is the system's
+:func:`~fdnoma.sidnr.outage_mask` on a transformed configuration, run
+through the shared engine of :mod:`fdnoma.montecarlo`.
 
-* half-duplex NOMA removes the loop-interference term from every stage
-  ratio and applies its own threshold set.  By default the thresholds
-  equal the full-duplex ones (the comparison convention that keeps every
-  stage feasible); the rate-matched alternative, where one half-duplex
-  channel use must carry what two full-duplex uses carry, is available
-  through :func:`hd_thresholds_rate_matched`.  No prelog factor is
-  applied: with thresholds fixed, the outage comparison is
-  threshold-to-threshold.
-* full-duplex OMA serves each user alone (full power, no interference,
-  no SIC) against a single threshold, by default the rate-sum
-  equivalent ``prod(1 + thr_l) - 1``.  Each user keeps its own,
-  unordered channel: orthogonal access has no ordering-based power
-  allocation, so the multiuser-diversity boost of the ordered gains
-  belongs to the NOMA side only.
+* Half-duplex NOMA is the system with the thresholds replaced by
+  ``hd_thresholds``, drawn without the loop-interference block
+  (``include_li=False``).  By default the thresholds equal the
+  full-duplex ones (the comparison convention that keeps every stage
+  feasible); the rate-matched alternative, where one half-duplex channel
+  use must carry what two full-duplex uses carry, is available through
+  :func:`hd_thresholds_rate_matched`.  No prelog factor is applied: with
+  thresholds fixed, the outage comparison is threshold-to-threshold.
+* Full-duplex OMA serves each user alone: user ``l`` is user 1 of a
+  one-user configuration (power coefficient 1, so no interference and no
+  SIC; threshold ``oma_threshold``; that user's ``m_ru`` and ``d_ru``),
+  with the loop-interference term kept.  The threshold defaults to the
+  rate-sum equivalent ``prod(1 + thr_l) - 1``.  Each user keeps its own,
+  unordered channel (``sort=False`` draws): orthogonal access has no
+  ordering-based power allocation, so the multiuser-diversity boost of
+  the ordered gains belongs to the NOMA side only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .channel import draw_batch, seeded_stream
 from .config import ConfigError, SystemConfig, derive_constants
-from .montecarlo import OutageEstimate, _run_blocks
+from .montecarlo import _estimate
 from .sidnr import outage_mask
 
 __all__ = [
@@ -36,9 +37,7 @@ __all__ = [
     "hd_thresholds_rate_matched",
     "fd_thresholds_rate_matched",
     "oma_threshold_rate_sum",
-    "hd_outage",
     "hd_outage_all",
-    "oma_outage",
     "oma_outage_all",
 ]
 
@@ -96,83 +95,32 @@ class BaselineConfig:
             object.__setattr__(self, "oma_threshold", t)
 
 
-def _oma_outage_mask(gain_sr, gains_ru, gain_li, dc, user, threshold):
-    """Outage of user ``user`` served alone at full power (no IUI, no SIC
-    residue), with the loop-interference term kept."""
-    g = dc.snr_lin
-    t2 = dc.noise_ru[user - 1]
-    g2 = gains_ru[:, user - 1]
-    num = gain_sr * g2 * g * g
-    den = (
-        gain_sr * g2 * g * g * dc.rhi_mix
-        + gain_sr * g * t2 * dc.rhi_amp
-        + (g2 * g + t2) * (gain_li * g * dc.sr_derate + dc.noise_sr) * dc.rhi_amp
-    )
-    return num <= threshold * den
-
-
-def _baseline_estimates(bcfg, users, trials, seed, partitions):
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    cfg = bcfg.base
-    dc = derive_constants(cfg)
-    if users is None:
-        users = tuple(range(1, cfg.num_users + 1))
-    users = tuple(int(u) for u in users)
-    for u in users:
-        if not 1 <= u <= cfg.num_users:
-            raise ValueError(f"user {u} outside 1..{cfg.num_users}")
-    hd = bcfg.mode == "hd_noma"
-    method = "hd" if hd else "oma"
-
-    def kernel(block):
-        index, size = block
-        rng = seeded_stream(seed, index)
-        g1, g2, g3 = draw_batch(dc, rng, size, include_li=not hd, sort=hd)
-        if hd:
-            masks = [
-                outage_mask(g1, g2, 0.0, dc, u, thresholds=bcfg.hd_thresholds)
-                for u in users
-            ]
-        else:
-            masks = [
-                _oma_outage_mask(g1, g2, g3, dc, u, bcfg.oma_threshold)
-                for u in users
-            ]
-        return np.array([int(m.sum()) for m in masks], dtype=np.int64)
-
-    counts = _run_blocks(kernel, trials, partitions, len(users))
-    return [
-        OutageEstimate(
-            op_value=float(k / trials),
-            trials=trials,
-            std_error=float(np.sqrt((k / trials) * (1.0 - k / trials) / trials)),
-            method=method,
-            user=u,
-            seed=seed,
-            partitions=partitions,
-        )
-        for u, k in zip(users, counts)
-    ]
-
-
 def hd_outage_all(bcfg: BaselineConfig, trials, seed=0, partitions=1, users=None):
     """Half-duplex NOMA outage for several users from shared draws."""
     if bcfg.mode != "hd_noma":
-        raise ConfigError("hd_outage requires a hd_noma baseline config")
-    return _baseline_estimates(bcfg, users, trials, seed, partitions)
-
-
-def hd_outage(bcfg: BaselineConfig, user: int, trials, seed=0, partitions=1) -> OutageEstimate:
-    return hd_outage_all(bcfg, trials, seed, partitions, users=(user,))[0]
+        raise ConfigError("hd_outage_all requires a hd_noma baseline config")
+    dc = derive_constants(replace(bcfg.base, thresholds=bcfg.hd_thresholds))
+    return _estimate(dc, users, trials, seed, partitions, "hd", include_li=False)
 
 
 def oma_outage_all(bcfg: BaselineConfig, trials, seed=0, partitions=1, users=None):
     """Full-duplex OMA outage for several users from shared draws."""
     if bcfg.mode != "fd_oma":
-        raise ConfigError("oma_outage requires a fd_oma baseline config")
-    return _baseline_estimates(bcfg, users, trials, seed, partitions)
+        raise ConfigError("oma_outage_all requires a fd_oma baseline config")
+    base = bcfg.base
+    solo = [
+        derive_constants(
+            replace(
+                base, num_users=1, power_coeffs=(1.0,), thresholds=(bcfg.oma_threshold,),
+                m_ru=(m,), d_ru=(d,),
+            )
+        )
+        for m, d in zip(base.m_ru, base.d_ru)
+    ]
 
+    def mask(g1, g2, g3, dc, user):
+        return outage_mask(g1, g2[:, user - 1:user], g3, solo[user - 1], 1)
 
-def oma_outage(bcfg: BaselineConfig, user: int, trials, seed=0, partitions=1) -> OutageEstimate:
-    return oma_outage_all(bcfg, trials, seed, partitions, users=(user,))[0]
+    return _estimate(
+        derive_constants(base), users, trials, seed, partitions, "oma", mask, sort=False
+    )

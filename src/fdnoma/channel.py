@@ -1,7 +1,9 @@
 """Random generation of system realizations.
 
-One realization is the triple (first-hop beamforming gain, ordered vector
-of user combining gains, loop-interference gain).  Gains are drawn as
+A batch of realizations is the triple (first-hop beamforming gains,
+per-user combining gains with one row per realization, loop-interference
+gains); each row of user gains is in ascending order unless drawn with
+``sort=False``.  Gains are drawn as
 Gamma variates directly: for integer Nakagami shape the squared MRT/MRC
 norms are exactly Gamma, and sampling the norm is far cheaper than
 summing per-antenna components.  Estimation errors enter only through
@@ -16,36 +18,11 @@ in parallel with identical aggregate results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import DerivedConstants
 
-__all__ = ["ChannelDraw", "seeded_stream", "draw", "draw_batch"]
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """A single system realization.
-
-    ``gains_ru_sorted`` holds the per-user second-hop gains in ascending
-    order; the weakest user (largest power coefficient) sees index 0.
-    """
-
-    gain_sr: float
-    gains_ru_sorted: np.ndarray
-    gain_li: float
-
-    def __post_init__(self):
-        g = np.asarray(self.gains_ru_sorted, dtype=float)
-        if np.any(np.diff(g) < 0):
-            raise ValueError("gains_ru_sorted must be ascending")
-        if not (np.all(np.isfinite(g)) and np.isfinite(self.gain_sr) and np.isfinite(self.gain_li)):
-            raise ValueError("gains must be finite")
-        if self.gain_sr < 0 or self.gain_li < 0 or np.any(g < 0):
-            raise ValueError("gains must be non-negative")
-        object.__setattr__(self, "gains_ru_sorted", g)
+__all__ = ["seeded_stream", "draw_batch"]
 
 
 def seeded_stream(seed: int, substream: int = 0) -> np.random.Generator:
@@ -93,8 +70,3 @@ def draw_batch(
         gain_li = 0.0
     return gain_sr, gains_ru, gain_li
 
-
-def draw(dc: DerivedConstants, rng: np.random.Generator) -> ChannelDraw:
-    """One realization from the given stream."""
-    g1, g2, g3 = draw_batch(dc, rng, 1)
-    return ChannelDraw(gain_sr=float(g1[0]), gains_ru_sorted=g2[0], gain_li=float(g3[0]))

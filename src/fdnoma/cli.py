@@ -7,9 +7,10 @@ grid point with one column per (user, method), Monte Carlo standard
 error columns and a per-user feasibility flag.  Re-running the same
 invocation reproduces the file byte for byte.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure,
-3 invariant violation (for example a lower bound exceeding the exact
-value beyond tolerance; surfaced, never clamped).
+Exit codes: 0 success, 1 configuration or usage error, 2 numeric
+failure, 3 invariant violation (for example a lower bound exceeding the
+exact value beyond tolerance; surfaced, never clamped, and no CSV is
+written).
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ def _point_row(cfg_pt, spec, asymp_reports, extras):
 
 
 def run_sweep(config_path, spec: SweepSpec, out_path) -> SweepResult:
-    """Evaluate the sweep and write the CSV artifact.
+    """Evaluate the sweep and write the CSV artifact, unless a
+    cross-method invariant fails (then nothing is written).
 
     Grid points are independent and dispatched to a small thread pool;
     rows are gathered back in grid order, so output is deterministic.
@@ -189,9 +191,6 @@ def run_sweep(config_path, spec: SweepSpec, out_path) -> SweepResult:
         "seed": str(spec.seed),
         "partitions": str(spec.partitions),
     }
-    result = SweepResult(meta=meta, columns=tuple(columns), rows=rows)
-    _write_csv(out_path, result)
-
     if "exact" in spec.methods and "lb" in spec.methods:
         for v, cells in zip(values, all_cells):
             for u in spec.users:
@@ -201,6 +200,9 @@ def run_sweep(config_path, spec: SweepSpec, out_path) -> SweepResult:
                         f"lower bound {lb:.6e} exceeds exact {ex:.6e} "
                         f"for user {u} at {spec.variable}={v:g}"
                     )
+
+    result = SweepResult(meta=meta, columns=tuple(columns), rows=rows)
+    _write_csv(out_path, result)
     return result
 
 
@@ -291,9 +293,14 @@ def main(argv=None) -> int:
     parser.add_argument("--partitions", type=int, default=1)
     parser.add_argument("--out", help="output CSV path")
     parser.add_argument("--validate", action="store_true", help="validate config and exit")
-    args = parser.parse_args(argv)
+
+    def usage_error(message):
+        raise ConfigError(message)
+
+    parser.error = usage_error  # usage errors exit 1, not argparse's 2
 
     try:
+        args = parser.parse_args(argv)
         if args.validate:
             return validate_config(args.config)
         if not args.sweep or not args.out:

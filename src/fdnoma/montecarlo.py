@@ -5,6 +5,11 @@ substream ``(seed, b)``, and per-user outage counts are integers summed
 over blocks.  The block size is a constant of the estimator, so the
 aggregate counts depend only on ``(seed, trials)``: the ``partitions``
 argument controls scheduling concurrency and can never change a result.
+
+One private engine, :func:`_estimate`, runs every Monte Carlo figure:
+the full-duplex NOMA system here and both comparison systems in
+:mod:`fdnoma.baselines`, which differ only in the derived constants,
+the draw options and the per-user mask they pass in.
 """
 
 from __future__ import annotations
@@ -61,6 +66,50 @@ def _run_blocks(kernel, trials: int, partitions: int, n_out: int) -> np.ndarray:
     return counts
 
 
+def _estimate(dc, users, trials, seed, partitions, method, mask=outage_mask, **draw_opts):
+    """Per-user outage estimates from one shared stream of realizations.
+
+    Block ``b`` draws ``draw_batch(dc, seeded_stream(seed, b), size,
+    **draw_opts)``; ``mask(g1, g2, g3, dc, user)`` marks the outages of
+    ``user`` among them.  ``users`` defaults to every user of ``dc``.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if partitions < 1:
+        raise ValueError("partitions must be >= 1")
+    num_users = dc.cfg.num_users
+    if users is None:
+        users = tuple(range(1, num_users + 1))
+    users = tuple(int(u) for u in users)
+    if not users:
+        raise ValueError("users must not be empty")
+    for u in users:
+        if not 1 <= u <= num_users:
+            raise ValueError(f"user {u} outside 1..{num_users}")
+
+    def kernel(block):
+        index, size = block
+        g1, g2, g3 = draw_batch(dc, seeded_stream(seed, index), size, **draw_opts)
+        return np.array([int(mask(g1, g2, g3, dc, u).sum()) for u in users], dtype=np.int64)
+
+    counts = _run_blocks(kernel, trials, partitions, len(users))
+    out = []
+    for u, k in zip(users, counts):
+        p = k / trials
+        out.append(
+            OutageEstimate(
+                op_value=float(p),
+                trials=trials,
+                std_error=float(np.sqrt(p * (1.0 - p) / trials)),
+                method=method,
+                user=u,
+                seed=seed,
+                partitions=partitions,
+            )
+        )
+    return out
+
+
 def estimate_all_users(
     cfg: SystemConfig,
     trials: int,
@@ -74,44 +123,7 @@ def estimate_all_users(
     user's indicator on it, which both halves the runtime and correlates
     the per-user curves (smoother comparisons at equal seeds).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if partitions < 1:
-        raise ValueError("partitions must be >= 1")
-    dc = derive_constants(cfg)
-    if users is None:
-        users = tuple(range(1, cfg.num_users + 1))
-    users = tuple(int(u) for u in users)
-    if not users:
-        raise ValueError("users must not be empty")
-    for u in users:
-        if not 1 <= u <= cfg.num_users:
-            raise ValueError(f"user {u} outside 1..{cfg.num_users}")
-
-    def kernel(block):
-        index, size = block
-        rng = seeded_stream(seed, index)
-        g1, g2, g3 = draw_batch(dc, rng, size)
-        return np.array(
-            [int(outage_mask(g1, g2, g3, dc, u).sum()) for u in users], dtype=np.int64
-        )
-
-    counts = _run_blocks(kernel, trials, partitions, len(users))
-    out = []
-    for u, k in zip(users, counts):
-        p = k / trials
-        out.append(
-            OutageEstimate(
-                op_value=float(p),
-                trials=trials,
-                std_error=float(np.sqrt(p * (1.0 - p) / trials)),
-                method="mc",
-                user=u,
-                seed=seed,
-                partitions=partitions,
-            )
-        )
-    return out
+    return _estimate(derive_constants(cfg), users, trials, seed, partitions, "mc")
 
 
 def estimate(

@@ -1,4 +1,4 @@
-"""Instantaneous decode SIDNR and the per-realization outage indicator.
+"""Instantaneous decode SIDNR and the batched outage mask.
 
 User ``l`` successively decodes the signals intended for users
 ``j = 1..l`` (strongest power first).  The signal-to-interference-
@@ -12,33 +12,17 @@ distortion-plus-noise ratio of stage ``j`` at user ``l`` is
 with ``g1`` the first-hop gain, ``g2`` the user's ordered second-hop
 gain and ``g3`` the loop-interference gain.  The user is in outage when
 any stage fails its threshold; ties count as outage (success requires a
-strictly larger ratio).
+strictly larger ratio).  :func:`outage_mask` is the only encoding of
+this event: the baselines reach it through transformed configurations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ChannelDraw
 from .config import DerivedConstants
 
-__all__ = ["SidnrValue", "sidnr", "outage_indicator", "outage_mask", "region_outage_indicator"]
-
-
-@dataclass(frozen=True)
-class SidnrValue:
-    value: float
-    user: int
-    stage: int
-
-
-def _check_user_stage(dc: DerivedConstants, user: int, stage: int | None = None):
-    if not 1 <= user <= dc.cfg.num_users:
-        raise ValueError(f"user must lie in 1..{dc.cfg.num_users}")
-    if stage is not None and not 1 <= stage <= user:
-        raise ValueError("stage must lie in 1..user")
+__all__ = ["outage_mask"]
 
 
 def _stage_ratio(g1, g2, g3, dc: DerivedConstants, user: int, stage: int):
@@ -55,81 +39,26 @@ def _stage_ratio(g1, g2, g3, dc: DerivedConstants, user: int, stage: int):
     return num, den
 
 
-def sidnr(draw: ChannelDraw, dc: DerivedConstants, user: int, stage: int) -> SidnrValue:
-    """Instantaneous SIDNR of decode stage ``stage`` at user ``user``."""
-    _check_user_stage(dc, user, stage)
-    g2 = float(draw.gains_ru_sorted[user - 1])
-    num, den = _stage_ratio(draw.gain_sr, g2, draw.gain_li, dc, user, stage)
-    return SidnrValue(value=num / den, user=user, stage=stage)
-
-
-def outage_indicator(draw: ChannelDraw, dc: DerivedConstants, user: int) -> bool:
-    """True iff some decode stage at ``user`` fails its threshold.
-
-    Evaluated as ``num <= threshold * den`` per stage, which is exact for
-    infeasible configurations too: when the power margin of a stage is
-    non-positive its ratio can never exceed the threshold, so every
-    realization is an outage.
-    """
-    _check_user_stage(dc, user)
-    g2 = float(draw.gains_ru_sorted[user - 1])
-    for stage in range(1, user + 1):
-        num, den = _stage_ratio(draw.gain_sr, g2, draw.gain_li, dc, user, stage)
-        if num <= dc.cfg.thresholds[stage - 1] * den:
-            return True
-    return False
-
-
 def outage_mask(
     gain_sr: np.ndarray,
     gains_ru_sorted: np.ndarray,
     gain_li,
     dc: DerivedConstants,
     user: int,
-    thresholds=None,
 ) -> np.ndarray:
-    """Vectorized outage indicator over a batch of realizations.
+    """Outage indicator of ``user`` over a batch of realizations.
 
-    ``thresholds`` overrides the configured per-stage targets (used by the
-    half-duplex baseline, which also passes ``gain_li = 0.0``).
+    Evaluated as ``num <= threshold * den`` per stage, which is exact for
+    infeasible configurations too: when the power margin of a stage is
+    non-positive its ratio can never exceed the threshold, so every
+    realization is an outage.  ``gain_li`` may be the scalar 0.0
+    (half-duplex draws carry no loop interference).
     """
-    _check_user_stage(dc, user)
-    if thresholds is None:
-        thresholds = dc.cfg.thresholds
+    if not 1 <= user <= dc.cfg.num_users:
+        raise ValueError(f"user must lie in 1..{dc.cfg.num_users}")
     g2 = gains_ru_sorted[:, user - 1]
     out = np.zeros(gain_sr.shape, dtype=bool)
     for stage in range(1, user + 1):
         num, den = _stage_ratio(gain_sr, g2, gain_li, dc, user, stage)
-        out |= num <= thresholds[stage - 1] * den
+        out |= num <= dc.cfg.thresholds[stage - 1] * den
     return out
-
-
-def region_outage_indicator(draw: ChannelDraw, dc: DerivedConstants, user: int) -> bool:
-    """Outage test in gain space: the complement of
-
-        g2 > noise_ru * rhi_amp * demand_peak   and
-        g1 > (g2*snr + noise_ru)(g3*snr*sr_derate + noise_sr) * rhi_amp
-             * demand_peak / (snr * (g2 - noise_ru*rhi_amp*demand_peak))
-
-    Algebraically identical to thresholding every stage ratio; kept as an
-    independent formulation for self-tests.  Returns True outright when
-    some stage of the user is infeasible.
-    """
-    _check_user_stage(dc, user)
-    if not dc.feasible[user - 1]:
-        return True
-    g = dc.snr_lin
-    t2 = dc.noise_ru[user - 1]
-    dmax = dc.demand_peak[user - 1]
-    g2 = float(draw.gains_ru_sorted[user - 1])
-    edge = t2 * dc.rhi_amp * dmax
-    if g2 <= edge:
-        return True
-    need = (
-        (g2 * g + t2)
-        * (draw.gain_li * g * dc.sr_derate + dc.noise_sr)
-        * dc.rhi_amp
-        * dmax
-        / (g * (g2 - edge))
-    )
-    return draw.gain_sr <= need

@@ -2,7 +2,9 @@ import math
 from dataclasses import replace
 
 import mpmath as mp
+import numpy as np
 import pytest
+from scipy import integrate, special, stats
 
 from fdnoma import (
     NumericsError,
@@ -208,17 +210,31 @@ class TestAsymptotics:
         orc = op_oracle_2d(replace(cfg, snr_db=60.0), 1)
         assert r.probability(1e6) == pytest.approx(orc, rel=0.10)
 
-    def test_li_floor_single_term_collapse(self):
-        # one transmit antenna, unit shapes: floor is 1 - 1/(1 + amp*level*li/power)
-        cfg = default_config(li_quality_mu=1.0, kappa_ru=0.1)
+    @pytest.mark.parametrize("m_li", [1, 2])
+    @pytest.mark.parametrize("m_sr", [1, 2])
+    @pytest.mark.parametrize("tx", [1, 2, 3])
+    def test_li_floor_matches_quadrature(self, tx, m_sr, m_li):
+        # the floor is P(g1 <= x*g3) = E[P(k1, alpha1*x*g3)], g3 ~ Gamma(m_li)
+        cfg = default_config(
+            li_quality_mu=1.0, kappa_ru=0.1, tx_antennas=tx, m_sr=m_sr, m_li=m_li
+        )
         dc = derive_constants(cfg)
-        r = op_asymptotic(cfg, 1)
-        lam = dc.demand_peak[0] * dc.snr_lin
+        k1, alpha1 = m_sr * tx, m_sr / dc.power_sr
+        pdf_li = stats.gamma(m_li, scale=dc.power_li / m_li).pdf
         amp = 1 + cfg.kappa_ru ** 2
-        expected = 1 - 1 / (1 + amp * lam * cfg.li_scale_lambda / dc.power_sr)
-        assert r.regime == "li_floor"
-        assert r.diversity_order == 0.0
-        assert r.floor_value == pytest.approx(expected, rel=1e-12)
+        for u in (1, 2, 3):
+            r = op_asymptotic(cfg, u)
+            x = amp * dc.demand_peak[u - 1] * dc.snr_lin
+            ref, _ = integrate.quad(
+                lambda z: special.gammainc(k1, alpha1 * x * z) * pdf_li(z),
+                0, np.inf, epsabs=0, epsrel=1e-13, limit=200,
+            )
+            assert r.regime == "li_floor"
+            assert r.diversity_order == 0.0
+            assert r.floor_value == pytest.approx(ref, rel=1e-12)
+            if k1 == m_li == 1:  # single term: 1 - 1/(1 + x*li/power)
+                expected = 1 - 1 / (1 + x * cfg.li_scale_lambda / dc.power_sr)
+                assert r.floor_value == pytest.approx(expected, rel=1e-12)
 
     def test_li_floor_flatness_and_value(self):
         base = default_config(li_quality_mu=1.0, tx_antennas=2, rx_antennas=1)

@@ -9,10 +9,8 @@ from fdnoma import (
     default_config,
     estimate_all_users,
     fd_thresholds_rate_matched,
-    hd_outage,
     hd_outage_all,
     hd_thresholds_rate_matched,
-    oma_outage,
     oma_outage_all,
     oma_threshold_rate_sum,
 )
@@ -40,9 +38,9 @@ def test_baseline_defaults_and_validation(ideal_cfg):
     with pytest.raises(ConfigError):
         BaselineConfig(base=ideal_cfg, mode="hd_noma", hd_thresholds=(1.0,))
     with pytest.raises(ConfigError):
-        hd_outage(BaselineConfig(base=ideal_cfg, mode="fd_oma"), 1, 10)
+        hd_outage_all(BaselineConfig(base=ideal_cfg, mode="fd_oma"), 10)
     with pytest.raises(ConfigError):
-        oma_outage(BaselineConfig(base=ideal_cfg, mode="hd_noma"), 1, 10)
+        oma_outage_all(BaselineConfig(base=ideal_cfg, mode="hd_noma"), 10)
 
 
 def test_hd_equals_fd_when_loop_interference_vanishes():
@@ -70,8 +68,8 @@ def test_hd_outage_no_floor_at_high_snr():
     b = lambda s: BaselineConfig(
         base=default_config(li_quality_mu=1.0, snr_db=s), mode="hd_noma"
     )
-    lo = hd_outage(b(10.0), 1, trials=200_000, seed=6).op_value
-    hi = hd_outage(b(25.0), 1, trials=200_000, seed=6).op_value
+    lo = hd_outage_all(b(10.0), trials=200_000, seed=6, users=(1,))[0].op_value
+    hi = hd_outage_all(b(25.0), trials=200_000, seed=6, users=(1,))[0].op_value
     assert hi < lo / 20
 
 
@@ -87,7 +85,7 @@ def test_oma_independent_of_power_coefficients():
 def test_oma_vanishing_threshold_no_outage():
     cfg = default_config(li_quality_mu=0.2, snr_db=40.0)
     b = BaselineConfig(base=cfg, mode="fd_oma", oma_threshold=1e-6)
-    est = oma_outage(b, 1, trials=100_000, seed=8)
+    est = oma_outage_all(b, trials=100_000, seed=8, users=(1,))[0]
     assert est.op_value < 1e-4
 
 
@@ -113,5 +111,22 @@ def test_relay_placement_pattern():
 
 def test_partition_invariance(ideal_cfg):
     b = BaselineConfig(base=ideal_cfg, mode="hd_noma")
-    runs = [hd_outage(b, 2, trials=600_000, seed=9, partitions=p) for p in (1, 4, 16)]
+    runs = [
+        hd_outage_all(b, trials=600_000, seed=9, partitions=p, users=(2,))[0]
+        for p in (1, 4, 16)
+    ]
     assert len({r.op_value for r in runs}) == 1
+
+
+RUNNERS = {
+    "mc": lambda cfg, **kw: estimate_all_users(cfg, 10, **kw),
+    "hd": lambda cfg, **kw: hd_outage_all(BaselineConfig(base=cfg, mode="hd_noma"), 10, **kw),
+    "oma": lambda cfg, **kw: oma_outage_all(BaselineConfig(base=cfg, mode="fd_oma"), 10, **kw),
+}
+
+
+@pytest.mark.parametrize("bad", [{"partitions": 0}, {"users": ()}], ids=["partitions0", "no_users"])
+@pytest.mark.parametrize("method", sorted(RUNNERS))
+def test_every_engine_rejects_bad_input(ideal_cfg, method, bad):
+    with pytest.raises(ValueError):
+        RUNNERS[method](ideal_cfg, **bad)

@@ -5,7 +5,6 @@ from scipy import integrate, stats
 from fdnoma import (
     default_config,
     derive_constants,
-    draw,
     draw_batch,
     gamma_norm_cdf,
     ordered_cdf,
@@ -63,11 +62,12 @@ def test_li_mean_snr_free_at_mu_one():
 
 def test_sorted_and_single_draw(ideal_cfg):
     dc = derive_constants(ideal_cfg)
-    _, g2, _ = draw_batch(dc, seeded_stream(5, 0), 500)
-    assert np.all(np.diff(g2, axis=1) >= 0)
-    d = draw(dc, seeded_stream(5, 0))
-    assert d.gain_sr >= 0 and d.gain_li >= 0
-    assert np.all(np.diff(d.gains_ru_sorted) >= 0)
+    for size in (500, 1):
+        g1, g2, g3 = draw_batch(dc, seeded_stream(5, 0), size)
+        assert g1.shape == g3.shape == (size,) and g2.shape == (size, 3)
+        assert np.all(np.diff(g2, axis=1) >= 0)
+        for g in (g1, g2, g3):
+            assert np.all(np.isfinite(g)) and np.all(g >= 0)
 
 
 def test_largest_order_statistic_mean_matches_quadrature():

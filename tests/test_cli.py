@@ -209,6 +209,16 @@ def test_main_rejects_bad_inputs(cfg_file, tmp_path, capsys):
     assert main(["--config", str(cfg_file), "--sweep", "bogus", "--out", str(out)]) == 1
     assert main(["--config", str(cfg_file), "--sweep", "mu=0:1:0.5", "--users", "9", "--out", str(out)]) == 1
     assert main(["--config", str(cfg_file), "--sweep", "mu=0:1:0.5", "--methods", "magic", "--out", str(out)]) == 1
+    # usage errors share code 1; 2 stays reserved for numeric failure
+    assert main(["--config", str(cfg_file)]) == 1
+    assert main(["--sweep", "mu=0:1:0.5", "--out", str(out)]) == 1
+    assert main(["--config", str(cfg_file), "--sweep", "mu=0:1:0.5"]) == 1
+    assert main(["--config", str(cfg_file), "--bogus"]) == 1
+    assert main(["--config", str(cfg_file), "--sweep", "mu=0:1:0.5", "--trials", "x", "--out", str(out)]) == 1
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
     capsys.readouterr()
 
 
@@ -243,4 +253,4 @@ def test_main_invariant_violation_exit_code(cfg_file, tmp_path, capsys, monkeypa
     ])
     assert rc == 3
     assert "invariant violation" in capsys.readouterr().err
-    assert out.exists()  # artifact still written for inspection
+    assert not out.exists()  # a failed invariant publishes no CSV

@@ -1,13 +1,44 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fdnoma import ChannelDraw, default_config, derive_constants, outage_indicator, sidnr
+from fdnoma import default_config, derive_constants
 from fdnoma.channel import draw_batch, seeded_stream
-from fdnoma.sidnr import outage_mask, region_outage_indicator
+from fdnoma.sidnr import _stage_ratio, outage_mask
 
 
-def make_draw(g1, g2_sorted, g3):
-    return ChannelDraw(gain_sr=g1, gains_ru_sorted=np.asarray(g2_sorted, float), gain_li=g3)
+def ratio(g1, g2, g3, dc, user, stage):
+    num, den = _stage_ratio(np.asarray(g1, float), np.asarray(g2, float), g3, dc, user, stage)
+    return num / den
+
+
+def region_mask(g1, g2, g3, dc, user):
+    """Outage test in gain space: the complement of
+
+        g2 > noise_ru * rhi_amp * demand_peak   and
+        g1 > (g2*snr + noise_ru)(g3*snr*sr_derate + noise_sr) * rhi_amp
+             * demand_peak / (snr * (g2 - noise_ru*rhi_amp*demand_peak))
+
+    Algebraically identical to thresholding every stage ratio, and kept
+    independent of ``_stage_ratio`` as a reference for ``outage_mask``.
+    An infeasible user has ``demand_peak = inf``, so the first clause
+    marks every draw.
+    """
+    t2 = dc.noise_ru[user - 1]
+    dmax = dc.demand_peak[user - 1]
+    edge = t2 * dc.rhi_amp * dmax
+    g = dc.snr_lin
+    g2u = g2[:, user - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        need = (
+            (g2u * g + t2)
+            * (g3 * g * dc.sr_derate + dc.noise_sr)
+            * dc.rhi_amp
+            * dmax
+            / (g * (g2u - edge))
+        )
+    return (g2u <= edge) | (g1 <= need)
 
 
 def single_user_cfg(**kw):
@@ -19,39 +50,33 @@ def test_hand_value_single_user():
     # num = 1*1*100, den = 10 + (10+1)*(0+1) = 21
     cfg = single_user_cfg(snr_db=10.0)
     dc = derive_constants(cfg)
-    v = sidnr(make_draw(1.0, [1.0], 0.0), dc, 1, 1)
-    assert v.value == pytest.approx(100.0 / 21.0, rel=1e-12)
+    v = ratio([1.0], [1.0], 0.0, dc, 1, 1)
+    assert v[0] == pytest.approx(100.0 / 21.0, rel=1e-12)
 
 
 def test_zero_power_coefficient_limit():
     # the desired-signal share drives the numerator: tiny share, tiny ratio
     cfg = default_config(power_coeffs=(1 - 2e-9, 1.5e-9, 0.5e-9))
     dc = derive_constants(cfg)
-    v = sidnr(make_draw(1.0, [1.0, 1.0, 1.0], 0.0), dc, 3, 3)
-    assert v.value < 1e-8
+    assert ratio([1.0], [1.0], 0.0, dc, 3, 3)[0] < 1e-8
 
 
 def test_interference_limited_ratio():
     cfg = default_config(snr_db=80.0)  # snr -> inf with fixed gains
     dc = derive_constants(cfg)
-    d = make_draw(1.0, [1.0, 1.0, 1.0], 0.0)
     for j in (1, 2):
         cap = cfg.power_coeffs[j - 1] / dc.iui[j - 1]
-        assert sidnr(d, dc, 3, j).value == pytest.approx(cap, rel=1e-6)
+        assert ratio([1.0], [1.0], 0.0, dc, 3, j)[0] == pytest.approx(cap, rel=1e-6)
 
 
 def test_monotonicity_in_gains(rng):
     cfg = default_config(kappa_sr=0.1, kappa_ru=0.1, sigma_ipsic_sq=0.01, snr_db=12.0)
     dc = derive_constants(cfg)
-    for _ in range(200):
-        g1, g2, g3 = rng.uniform(0.01, 5.0, 3)
-        base = sidnr(make_draw(g1, [g2] * 3, g3), dc, 3, 2).value
-        up1 = sidnr(make_draw(g1 * 1.5, [g2] * 3, g3), dc, 3, 2).value
-        up2 = sidnr(make_draw(g1, [g2 * 1.5] * 3, g3), dc, 3, 2).value
-        up3 = sidnr(make_draw(g1, [g2] * 3, g3 * 1.5), dc, 3, 2).value
-        assert up1 >= base - 1e-15
-        assert up2 >= base - 1e-15
-        assert up3 <= base + 1e-15
+    g1, g2, g3 = rng.uniform(0.01, 5.0, (3, 200))
+    base = ratio(g1, g2, g3, dc, 3, 2)
+    assert np.all(ratio(g1 * 1.5, g2, g3, dc, 3, 2) >= base - 1e-15)
+    assert np.all(ratio(g1, g2 * 1.5, g3, dc, 3, 2) >= base - 1e-15)
+    assert np.all(ratio(g1, g2, g3 * 1.5, dc, 3, 2) <= base + 1e-15)
 
 
 def test_scale_invariance_of_power_split(rng):
@@ -61,15 +86,12 @@ def test_scale_invariance_of_power_split(rng):
     constants scaled by c (and the share left alone) the ratio must drop
     by exactly 1/c.
     """
-    from dataclasses import replace
-
     cfg = default_config(kappa_sr=0.12, kappa_ru=0.08, sigma_ipsic_sq=0.02, snr_db=9.0)
     dc = derive_constants(cfg)
     for _ in range(50):
-        g1, g2, g3 = rng.uniform(0.05, 4.0, 3)
+        g1, g2, g3 = rng.uniform(0.05, 4.0, (3, 1))
         c = float(rng.uniform(0.5, 2.0))
-        d = make_draw(g1, [g2] * 3, g3)
-        base = sidnr(d, dc, 2, 1).value
+        base = ratio(g1, g2, g3, dc, 2, 1)
         scaled = replace(
             dc,
             iui=dc.iui * c,
@@ -77,28 +99,24 @@ def test_scale_invariance_of_power_split(rng):
             rhi_mix=dc.rhi_mix * c,
             rhi_amp=dc.rhi_amp * c,
         )
-        assert sidnr(d, scaled, 2, 1).value * c == pytest.approx(base, rel=1e-12)
+        assert ratio(g1, g2, g3, scaled, 2, 1)[0] * c == pytest.approx(base[0], rel=1e-12)
 
 
 def test_infeasible_always_outage():
     cfg = default_config(thresholds=(1.2, 1.5, 2.0))
     dc = derive_constants(cfg)
     rng_ = np.random.default_rng(5)
-    for _ in range(200):
-        d = make_draw(
-            float(rng_.uniform(0.01, 50.0)),
-            sorted(rng_.uniform(0.01, 50.0, 3)),
-            float(rng_.uniform(0, 2)),
-        )
-        assert outage_indicator(d, dc, 1)
+    g1 = rng_.uniform(0.01, 50.0, 200)
+    g2 = np.sort(rng_.uniform(0.01, 50.0, (200, 3)), axis=1)
+    g3 = rng_.uniform(0, 2, 200)
+    assert outage_mask(g1, g2, g3, dc, 1).all()
 
 
 def test_huge_gains_no_outage():
     cfg = default_config(li_quality_mu=0.2, snr_db=10.0)
     dc = derive_constants(cfg)
-    d = make_draw(1e12, [1e12] * 3, 0.0)
     for u in (1, 2, 3):
-        assert not outage_indicator(d, dc, u)
+        assert not outage_mask(np.array([1e12]), np.full((1, 3), 1e12), np.array([0.0]), dc, u).any()
 
 
 def test_threshold_and_region_forms_agree(ideal_cfg):
@@ -113,10 +131,7 @@ def test_threshold_and_region_forms_agree(ideal_cfg):
         dc = derive_constants(cfg)
         g1, g2, g3 = draw_batch(dc, seeded_stream(11, 0), 100_000)
         for u in (1, 2, 3):
-            thr_form = outage_mask(g1, g2, g3, dc, u)
-            for i in range(0, 100_000, 997):  # spot-check scalar region route
-                d = ChannelDraw(gain_sr=float(g1[i]), gains_ru_sorted=g2[i], gain_li=float(g3[i]))
-                assert region_outage_indicator(d, dc, u) == bool(thr_form[i])
+            assert np.array_equal(outage_mask(g1, g2, g3, dc, u), region_mask(g1, g2, g3, dc, u))
 
 
 def test_region_form_matches_on_full_batch(ideal_cfg):
@@ -124,28 +139,12 @@ def test_region_form_matches_on_full_batch(ideal_cfg):
     dc = derive_constants(default_config(kappa_sr=0.1, kappa_ru=0.1, snr_db=14.0))
     g1, g2, g3 = draw_batch(dc, seeded_stream(12, 0), 100_000)
     for u in (1, 2, 3):
-        thr_form = outage_mask(g1, g2, g3, dc, u)
-        t2 = dc.noise_ru[u - 1]
-        dmax = dc.demand_peak[u - 1]
-        edge = t2 * dc.rhi_amp * dmax
-        g = dc.snr_lin
-        g2u = g2[:, u - 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            need = (
-                (g2u * g + t2)
-                * (g3 * g * dc.sr_derate + dc.noise_sr)
-                * dc.rhi_amp
-                * dmax
-                / (g * (g2u - edge))
-            )
-        region = (g2u <= edge) | (g1 <= need)
-        assert np.array_equal(thr_form, region)
+        assert np.array_equal(outage_mask(g1, g2, g3, dc, u), region_mask(g1, g2, g3, dc, u))
 
 
-def test_stage_bounds_validated(ideal_cfg):
+def test_user_bounds_validated(ideal_cfg):
     dc = derive_constants(ideal_cfg)
-    d = make_draw(1.0, [1.0, 1.0, 1.0], 0.0)
-    with pytest.raises(ValueError):
-        sidnr(d, dc, 4, 1)
-    with pytest.raises(ValueError):
-        sidnr(d, dc, 2, 3)
+    g1, g2, g3 = np.ones(1), np.ones((1, 3)), np.zeros(1)
+    for user in (0, 4):
+        with pytest.raises(ValueError):
+            outage_mask(g1, g2, g3, dc, user)
