@@ -40,15 +40,7 @@ from .config import (
     threshold_from_rate,
 )
 from .montecarlo import OutageEstimate, estimate, estimate_all_users
-from .specfun import (
-    MultinomialTable,
-    gamma_norm_cdf,
-    gamma_pdf,
-    multinomial_coeffs,
-    ordered_cdf,
-    ordered_pdf,
-    ordered_sf,
-)
+from .specfun import gamma_pdf, multinomial_coeffs, ordered_sf
 
 __all__ = [
     "__version__",
@@ -56,7 +48,6 @@ __all__ = [
     "BaselineConfig",
     "ConfigError",
     "DerivedConstants",
-    "MultinomialTable",
     "NumericsError",
     "OutageEstimate",
     "SystemConfig",
@@ -69,7 +60,6 @@ __all__ = [
     "estimate_all_users",
     "fd_thresholds_rate_matched",
     "feasibility",
-    "gamma_norm_cdf",
     "gamma_pdf",
     "hd_outage_all",
     "hd_thresholds_rate_matched",
@@ -81,8 +71,6 @@ __all__ = [
     "op_exact",
     "op_lower_bound",
     "op_oracle_2d",
-    "ordered_cdf",
-    "ordered_pdf",
     "ordered_sf",
     "seeded_stream",
     "tail_weight_integral",

@@ -45,7 +45,6 @@ __all__ = [
     "NumericsError",
     "AsymptoteReport",
     "op_exact",
-    "op_exact_from_constants",
     "op_oracle_2d",
     "op_lower_bound",
     "op_asymptotic",
@@ -55,6 +54,9 @@ __all__ = [
 
 _TIE_TOL = 1e-9
 _QUAD_LIMIT = 200
+# Relative tolerance of each tail integral of the closed form; the
+# cancellation guard of op_exact scales its error estimate by it.
+_TAIL_REL_TOL = 1e-12
 
 
 class NumericsError(RuntimeError):
@@ -122,7 +124,7 @@ def tail_weight_integral(
     inv_rate: float,
     shift: float,
     shift_power: int,
-    rel_tol: float = 1e-12,
+    rel_tol: float = _TAIL_REL_TOL,
 ) -> float:
     """integral_0^inf x**power exp(-rate*x - inv_rate/x) (x+shift)**-shift_power dx.
 
@@ -152,7 +154,7 @@ def _term_table(k1: int, k2: int, num_users: int, order: int, m_li: int):
     """
     L, l = num_users, order
     log_theta = {
-        s1: np.log(multinomial_coeffs(s1, k2).coeffs) for s1 in range(L)
+        s1: np.log(multinomial_coeffs(s1, k2)) for s1 in range(L)
     }
     rank = math.lgamma(L + 1) - math.lgamma(L - l + 1) - math.lgamma(l)
 
@@ -217,7 +219,7 @@ def _log_comb(a: int, b: int) -> float:
     return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
 
 
-def _success_probability(dc: DerivedConstants, user: int, rel_tol: float):
+def _success_probability(dc: DerivedConstants, user: int):
     """Complement of the outage: the alternating finite sum, returned as
     (value, largest term magnitude)."""
     cfg = dc.cfg
@@ -251,7 +253,7 @@ def _success_probability(dc: DerivedConstants, user: int, rel_tol: float):
     uniq = tab["uniq"]
     log_t = np.empty(len(uniq))
     for i, (p, s1, mm) in enumerate(uniq):
-        log_t[i] = _log_tail_weight(int(p), beta * (s1 + 1), q, shift, int(mm), rel_tol)
+        log_t[i] = _log_tail_weight(int(p), beta * (s1 + 1), q, shift, int(mm), _TAIL_REL_TOL)
 
     lg = (
         tab["base"]
@@ -274,21 +276,19 @@ def _success_probability(dc: DerivedConstants, user: int, rel_tol: float):
     return peak * scaled, peak
 
 
-def op_exact_from_constants(
-    dc: DerivedConstants, user: int, *, rel_tol: float = 1e-12
-) -> float:
+def _op_exact(dc: DerivedConstants, user: int) -> float:
     """Exact outage probability from precomputed constants."""
     _check_user(dc, user)
     if not dc.feasible[user - 1]:
         return 1.0
-    success, peak = _success_probability(dc, user, rel_tol)
+    success, peak = _success_probability(dc, user)
     op = 1.0 - success
     if success > 1.001:
         raise NumericsError(f"success probability evaluated to {success!r}")
     # The sum itself is exactly rounded; what limits the result is the
     # per-term evaluation error (dominated by the tail-integral
     # tolerance) amplified by cancellation against the leading 1.
-    err_est = peak * 1e-12
+    err_est = peak * _TAIL_REL_TOL
     if err_est > 0.05 * max(abs(op), 1e-300):
         raise NumericsError(
             f"catastrophic cancellation: outage {op:.3e} below the "
@@ -297,12 +297,12 @@ def op_exact_from_constants(
     return min(max(op, 0.0), 1.0)
 
 
-def op_exact(cfg: SystemConfig, user: int, *, rel_tol: float = 1e-12) -> float:
+def op_exact(cfg: SystemConfig, user: int) -> float:
     """Exact per-user outage probability (closed form plus tail quadrature).
 
     Returns 1 outright when any decode stage of ``user`` is infeasible.
     """
-    return op_exact_from_constants(derive_constants(cfg), user, rel_tol=rel_tol)
+    return _op_exact(derive_constants(cfg), user)
 
 
 # -- 2-D quadrature oracle --------------------------------------------------
@@ -498,7 +498,7 @@ def cee_floor(cfg: SystemConfig, user: int, *, snr_ref_db: float = 60.0) -> floa
     if cfg.sigma_e_sr_sq > 0.0:
         noise_sr = g * cfg.sigma_e_sr_sq
     dc = replace(dc, noise_ru=noise_ru, noise_sr=noise_sr)
-    return op_exact_from_constants(dc, user)
+    return _op_exact(dc, user)
 
 
 def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .config import ConfigError, SystemConfig, derive_constants
+from .config import ConfigError, SystemConfig, _check_real, derive_constants
 from .montecarlo import _estimate
 from .sidnr import outage_mask
 
@@ -83,13 +83,17 @@ class BaselineConfig:
             raise ConfigError(f"unknown baseline mode {self.mode!r}")
         if self.mode == "hd_noma":
             thr = self.hd_thresholds
-            thr = self.base.thresholds if thr is None else tuple(float(t) for t in thr)
+            if thr is None:
+                thr = self.base.thresholds
+            thr = tuple(float(t) for t in _check_real("hd_thresholds", thr))
             if len(thr) != self.base.num_users or any(t <= 0 for t in thr):
                 raise ConfigError("hd_thresholds needs one positive entry per user")
             object.__setattr__(self, "hd_thresholds", thr)
         else:
             t = self.oma_threshold
-            t = oma_threshold_rate_sum(self.base.thresholds) if t is None else float(t)
+            if t is None:
+                t = oma_threshold_rate_sum(self.base.thresholds)
+            t = float(_check_real("oma_threshold", t))
             if t <= 0:
                 raise ConfigError("oma_threshold must be positive")
             object.__setattr__(self, "oma_threshold", t)

@@ -16,9 +16,11 @@ written).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .config import (
 )
 from .montecarlo import estimate_all_users
 
-__all__ = ["SweepSpec", "SweepResult", "run_sweep", "validate_config", "main"]
+__all__ = ["SweepSpec", "run_sweep", "validate_config", "main"]
 
 SWEEP_VARIABLES = ("snr_db", "mu", "kappa", "d_sr")
 METHODS = ("mc", "exact", "lb", "asymp", "hd", "oma")
@@ -74,6 +76,10 @@ class SweepSpec:
             raise ConfigError(f"unknown methods: {sorted(bad)}")
         if not self.users:
             raise ConfigError("users must not be empty")
+        for name in ("methods", "users"):
+            items = getattr(self, name)
+            if len(set(items)) != len(items):
+                raise ConfigError(f"{name} must not repeat: {list(items)}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.partitions < 1:
@@ -84,13 +90,6 @@ class SweepSpec:
     def grid(self) -> np.ndarray:
         n = int(np.floor((self.stop - self.start) / self.step + 1e-9)) + 1
         return self.start + self.step * np.arange(n)
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    meta: dict
-    columns: tuple[str, ...]
-    rows: list
 
 
 def _apply_variable(cfg: SystemConfig, variable: str, value: float) -> SystemConfig:
@@ -104,40 +103,41 @@ def _apply_variable(cfg: SystemConfig, variable: str, value: float) -> SystemCon
     return replace(cfg, d_sr=float(value), d_ru=1.0 - float(value))
 
 
-def _point_row(cfg_pt, spec, asymp_reports, extras):
+def _point_row(cfg_pt, spec, asymp_reports, extras) -> dict:
+    """One grid point's values, keyed by CSV column name."""
     dc = derive_constants(cfg_pt)
     cells = {}
     if "mc" in spec.methods:
         for est in estimate_all_users(
             cfg_pt, spec.trials, spec.seed, spec.partitions, users=spec.users
         ):
-            cells[("mc", est.user)] = est.op_value
-            cells[("mc_stderr", est.user)] = est.std_error
+            cells[f"user{est.user}_mc"] = est.op_value
+            cells[f"user{est.user}_mc_stderr"] = est.std_error
     if "hd" in spec.methods:
         bcfg = BaselineConfig(
             base=cfg_pt, mode="hd_noma", hd_thresholds=extras.get("hd_thresholds")
         )
         for est in hd_outage_all(bcfg, spec.trials, spec.seed, spec.partitions, spec.users):
-            cells[("hd", est.user)] = est.op_value
+            cells[f"user{est.user}_hd"] = est.op_value
     if "oma" in spec.methods:
         bcfg = BaselineConfig(
             base=cfg_pt, mode="fd_oma", oma_threshold=extras.get("oma_threshold")
         )
         for est in oma_outage_all(bcfg, spec.trials, spec.seed, spec.partitions, spec.users):
-            cells[("oma", est.user)] = est.op_value
+            cells[f"user{est.user}_oma"] = est.op_value
     for u in spec.users:
         if "exact" in spec.methods:
-            cells[("exact", u)] = op_exact(cfg_pt, u)
+            cells[f"user{u}_exact"] = op_exact(cfg_pt, u)
         if "lb" in spec.methods:
-            cells[("lb", u)] = op_lower_bound(cfg_pt, u)
+            cells[f"user{u}_lb"] = op_lower_bound(cfg_pt, u)
         if "asymp" in spec.methods:
             report = asymp_reports[u] if asymp_reports else op_asymptotic(cfg_pt, u)
-            cells[("asymp", u)] = report.probability(cfg_pt.snr_lin)
-        cells[("feasible", u)] = int(dc.feasible[u - 1])
+            cells[f"user{u}_asymp"] = report.probability(cfg_pt.snr_lin)
+        cells[f"user{u}_feasible"] = int(dc.feasible[u - 1])
     return cells
 
 
-def run_sweep(config_path, spec: SweepSpec, out_path) -> SweepResult:
+def run_sweep(config_path, spec: SweepSpec, out_path) -> None:
     """Evaluate the sweep and write the CSV artifact, unless a
     cross-method invariant fails (then nothing is written).
 
@@ -162,25 +162,6 @@ def run_sweep(config_path, spec: SweepSpec, out_path) -> SweepResult:
             pool.map(lambda c: _point_row(c, spec, asymp_reports, extras), points)
         )
 
-    columns = ["x"]
-    for u in spec.users:
-        for m in spec.methods:
-            columns.append(f"user{u}_{m}")
-            if m == "mc":
-                columns.append(f"user{u}_mc_stderr")
-        columns.append(f"user{u}_feasible")
-
-    rows = []
-    for v, cells in zip(values, all_cells):
-        row = [float(v)]
-        for u in spec.users:
-            for m in spec.methods:
-                row.append(cells[(m, u)])
-                if m == "mc":
-                    row.append(cells[("mc_stderr", u)])
-            row.append(cells[("feasible", u)])
-        rows.append(row)
-
     meta = {
         "tool": f"fdnoma {__version__}",
         "config_hash": config_hash(cfg),
@@ -194,16 +175,22 @@ def run_sweep(config_path, spec: SweepSpec, out_path) -> SweepResult:
     if "exact" in spec.methods and "lb" in spec.methods:
         for v, cells in zip(values, all_cells):
             for u in spec.users:
-                lb, ex = cells[("lb", u)], cells[("exact", u)]
+                lb, ex = cells[f"user{u}_lb"], cells[f"user{u}_exact"]
                 if lb > ex + ORDER_TOL:
                     raise InvariantViolation(
                         f"lower bound {lb:.6e} exceeds exact {ex:.6e} "
                         f"for user {u} at {spec.variable}={v:g}"
                     )
 
-    result = SweepResult(meta=meta, columns=tuple(columns), rows=rows)
-    _write_csv(out_path, result)
-    return result
+    # per user: one column per method (Monte Carlo followed by its
+    # standard error), then the feasibility flag
+    names = [n for m in spec.methods for n in ((m, "mc_stderr") if m == "mc" else (m,))]
+    columns = [f"user{u}_{n}" for u in spec.users for n in (*names, "feasible")]
+    lines = [f"# {k}: {v}" for k, v in meta.items()]
+    lines.append(",".join(["x", *columns]))
+    for v, cells in zip(values, all_cells):
+        lines.append(",".join([_fmt(float(v)), *(_fmt(cells[c]) for c in columns)]))
+    _write_csv(out_path, "\n".join(lines) + "\n")
 
 
 def _fmt(value) -> str:
@@ -212,13 +199,19 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _write_csv(path, result: SweepResult):
-    lines = [f"# {k}: {v}" for k, v in result.meta.items()]
-    lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_csv(path, text: str):
+    """Publish ``text`` at ``path`` through a temporary file in the same
+    directory and a rename: readers see the old file or the whole new
+    one, and a failure leaves the old file and no temporary behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def validate_config(config_path, stream=None) -> int:

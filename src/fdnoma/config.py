@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -48,10 +49,26 @@ __all__ = [
 ]
 
 POWER_SUM_TOL = 1e-12
+_LIST_KEYS = {"power_coeffs", "thresholds", "hd_thresholds"}  # one entry per user
+_PER_USER_KEYS = _LIST_KEYS | {"m_ru", "d_ru"}  # these two also take one shared scalar
 
 
 class ConfigError(ValueError):
     """A configuration value violates one of the model invariants."""
+
+
+def _check_real(name, value):
+    """Reject a config value that is not a real number (bools included)
+    or a list of them where the key takes one; returns it unchanged.
+    Nothing is coerced, so the config hash of a valid file does not
+    change."""
+    seq = isinstance(value, (list, tuple, np.ndarray))
+    shape_ok = name in _PER_USER_KEYS if seq else name not in _LIST_KEYS
+    items = value if seq else [value]
+    if not shape_ok or any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in items):
+        kinds = ["a number"] * (name not in _LIST_KEYS) + ["a list of numbers"] * (name in _PER_USER_KEYS)
+        raise ConfigError(f"{name} must be {' or '.join(kinds)}, got {value!r}")
+    return value
 
 
 def _per_user(value, n, cast, name):
@@ -95,6 +112,8 @@ class SystemConfig:
     snr_db: float
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            _check_real(name, getattr(self, name))
         n = int(self.num_users)
         object.__setattr__(self, "num_users", n)
         if n < 1:

@@ -2,51 +2,36 @@
 
 Squared Nakagami-m channel norms are Gamma with integer shape, so every
 distribution here is an integer-shape Gamma or an order statistic of
-i.i.d. integer-shape Gammas.  The ordered forms expand
-``(1 - F(x))**s1`` through the power-series coefficients of the truncated
-exponential sum, which keeps them closed-form (finite sums) for the
-outage expressions downstream.
+i.i.d. integer-shape Gammas.  The ordered survival function expands
+``(1 - F(x))**s1`` through the power-series coefficients of the
+truncated exponential sum (:func:`multinomial_coeffs`), the same
+coefficients the closed-form outage expansion reads, which keeps it a
+finite sum with relative accuracy in the deep upper tail.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc
 
 __all__ = [
-    "MultinomialTable",
     "multinomial_coeffs",
-    "gamma_norm_cdf",
     "gamma_pdf",
-    "ordered_cdf",
     "ordered_sf",
-    "ordered_pdf",
 ]
 
 
-@dataclass(frozen=True)
-class MultinomialTable:
-    """Coefficients of (sum_{n<base_terms} x**n / n!) ** power.
-
-    ``coeffs[j]`` multiplies ``x**j``; the table has
-    ``power * (base_terms - 1) + 1`` entries, all positive, and
-    ``coeffs[0] == 1``.
-    """
-
-    power: int
-    base_terms: int
-    coeffs: np.ndarray
-
-
 @lru_cache(maxsize=512)
-def multinomial_coeffs(power: int, base_terms: int) -> MultinomialTable:
-    """Power-series coefficients by iterated polynomial convolution.
+def multinomial_coeffs(power: int, base_terms: int) -> np.ndarray:
+    """Coefficients of ``(sum_{n<base_terms} x**n / n!) ** power``, by
+    iterated polynomial convolution.
 
-    The zeroth power is the empty product, a single coefficient 1.
+    Returns a read-only array (shared through the cache) whose entry
+    ``j`` multiplies ``x**j``; it has ``power * (base_terms - 1) + 1``
+    entries, all positive, and starts with 1.  The zeroth power is the
+    empty product, a single coefficient 1.
     """
     if power < 0 or base_terms < 1:
         raise ValueError("power must be >= 0 and base_terms >= 1")
@@ -55,24 +40,7 @@ def multinomial_coeffs(power: int, base_terms: int) -> MultinomialTable:
     for _ in range(power):
         out = np.convolve(out, base)
     out.setflags(write=False)
-    return MultinomialTable(power=power, base_terms=base_terms, coeffs=out)
-
-
-def gamma_norm_cdf(x, shape: int, scale: float):
-    """CDF of Gamma(integer shape, scale); the squared-norm law of a
-    maximum-ratio combined Nakagami-m link.
-
-    Equals ``1 - exp(-x/scale) * sum_{n<shape} (x/scale)**n / n!``, i.e.
-    the regularized lower incomplete gamma function, which is how it is
-    evaluated (stable at both tails).
-    """
-    if shape < 1 or int(shape) != shape:
-        raise ValueError("shape must be a positive integer")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    x = np.asarray(x, dtype=float)
-    out = gammainc(shape, np.maximum(x, 0.0) / scale)
-    return out if out.ndim else float(out)
+    return out
 
 
 def gamma_pdf(x, shape: int, scale: float):
@@ -87,16 +55,6 @@ def gamma_pdf(x, shape: int, scale: float):
     return out if out.ndim else float(out)
 
 
-def _check_order(order: int, num_users: int):
-    if not 1 <= order <= num_users:
-        raise ValueError(f"order must lie in 1..{num_users}")
-
-
-def _rank_const(order: int, num_users: int) -> float:
-    l, n = order, num_users
-    return math.factorial(n) / (math.factorial(n - l) * math.factorial(l - 1))
-
-
 def ordered_sf(x, order: int, num_users: int, shape: int, scale: float):
     """Survival function of the ``order``-th smallest of ``num_users``
     i.i.d. Gamma(shape, scale) gains.
@@ -104,17 +62,18 @@ def ordered_sf(x, order: int, num_users: int, shape: int, scale: float):
     Computed directly as a finite sum so the deep upper tail keeps
     relative accuracy (no ``1 - cdf`` cancellation).
     """
-    _check_order(order, num_users)
+    if not 1 <= order <= num_users:
+        raise ValueError(f"order must lie in 1..{num_users}")
     l, n = order, num_users
     t = np.asarray(x, dtype=float) / scale
     # past ~700/scale the exponential factors underflow to exactly 0;
     # capping t keeps the polynomial factors from overflowing first
     t = np.clip(t, 0.0, 1e6)
-    q = _rank_const(l, n)
+    q = math.factorial(n) / (math.factorial(n - l) * math.factorial(l - 1))
     total = np.zeros_like(t)
     for s in range(n - l + 1):
         for s1 in range(1, l + s + 1):
-            table = multinomial_coeffs(s1, shape).coeffs
+            table = multinomial_coeffs(s1, shape)
             poly = np.polynomial.polynomial.polyval(t, table)
             sign = -1.0 if (s + s1 - 1) % 2 else 1.0
             total += (
@@ -127,41 +86,4 @@ def ordered_sf(x, order: int, num_users: int, shape: int, scale: float):
             )
     total *= q
     out = np.clip(total, 0.0, 1.0)
-    return out if out.ndim else float(out)
-
-
-def ordered_cdf(x, order: int, num_users: int, shape: int, scale: float):
-    """CDF of the ``order``-th smallest gain; complements ordered_sf."""
-    sf = ordered_sf(x, order, num_users, shape, scale)
-    out = 1.0 - np.asarray(sf)
-    return out if out.ndim else float(out)
-
-
-def ordered_pdf(x, order: int, num_users: int, shape: int, scale: float):
-    """Density of the ``order``-th smallest of ``num_users`` i.i.d.
-    Gamma(shape, scale) gains, expanded into Gamma-kernel terms."""
-    _check_order(order, num_users)
-    l, n = order, num_users
-    t = np.asarray(x, dtype=float) / scale
-    pos = t > 0
-    # see ordered_sf: the Gamma kernel is exactly 0 well before 1e6
-    tp = np.where(pos, np.minimum(t, 1e6), 1.0)
-    q = _rank_const(l, n)
-    total = np.zeros_like(t)
-    for s in range(n - l + 1):
-        for s1 in range(l + s):
-            table = multinomial_coeffs(s1, shape).coeffs
-            poly = np.polynomial.polynomial.polyval(tp, table)
-            sign = -1.0 if (s + s1) % 2 else 1.0
-            total += (
-                sign
-                * math.comb(n - l, s)
-                * math.comb(l + s - 1, s1)
-                * poly
-                * np.exp(-s1 * tp)
-            )
-    kernel = np.exp((shape - 1) * np.log(tp) - tp - math.lgamma(shape)) / scale
-    out = np.where(pos, np.maximum(q * total * kernel, 0.0), 0.0)
-    if shape == 1 and l == 1:
-        out = np.where(t == 0, n / scale, out)
     return out if out.ndim else float(out)

@@ -21,14 +21,13 @@ from fdnoma import (
     estimate,
     estimate_all_users,
     fd_thresholds_rate_matched,
-    gamma_norm_cdf,
     hd_outage_all,
     multinomial_coeffs,
     op_asymptotic,
     op_exact,
     op_lower_bound,
     op_oracle_2d,
-    ordered_cdf,
+    ordered_sf,
 )
 from fdnoma.channel import draw_batch, seeded_stream
 from fdnoma.cli import SweepSpec, run_sweep
@@ -77,21 +76,26 @@ def triangle_grid():
     [1e-4, 0.99]: outside that band the Monte Carlo cross-check at 1e7
     trials is statistically empty (zero-count runs have zero standard
     error) and the relative exact-vs-oracle comparison exceeds double
-    precision.
+    precision.  Returns the rows and the number of draws skipped, by
+    reason.
     """
     rng = np.random.default_rng(424242)
     rows = []
+    skipped = {"infeasible": 0, "NumericsError": 0, "outside band": 0}
     while len(rows) < 50:
         cfg = _sample_config(rng)
         user = int(rng.integers(1, cfg.num_users + 1))
         dc = derive_constants(cfg)
         if not dc.feasible[user - 1]:
+            skipped["infeasible"] += 1
             continue
         try:
             exact = op_exact(cfg, user)
         except fdnoma.NumericsError:
+            skipped["NumericsError"] += 1
             continue
         if not 1e-4 <= exact <= 0.99:
+            skipped["outside band"] += 1
             continue
         rows.append((cfg, user, exact))
     out = []
@@ -100,13 +104,14 @@ def triangle_grid():
         lb = op_lower_bound(cfg, user)
         mc = estimate(cfg, user, trials=TRIANGLE_TRIALS, seed=20240817, partitions=8)
         out.append((cfg, user, exact, oracle, lb, mc))
-    return out
+    return out, skipped
 
 
 def test_criterion_01_oracle_triangle(triangle_grid):
+    rows, skipped = triangle_grid
     worst_rel = 0.0
     worst_z = 0.0
-    for cfg, user, exact, oracle, lb, mc in triangle_grid:
+    for cfg, user, exact, oracle, lb, mc in rows:
         rel = abs(exact - oracle) / exact
         worst_rel = max(worst_rel, rel)
         z = abs(mc.op_value - exact) / mc.std_error
@@ -115,13 +120,15 @@ def test_criterion_01_oracle_triangle(triangle_grid):
     assert _report(
         1, ok,
         f"oracle triangle on 50 configs: max |exact-oracle|/exact = {worst_rel:.2e} "
-        f"(< 1e-4), max |exact-mc| = {worst_z:.2f} sigma (<= 3)",
+        f"(< 1e-4), max |exact-mc| = {worst_z:.2f} sigma (<= 3); skipped before "
+        f"50 were kept: " + ", ".join(f"{n} {why}" for why, n in skipped.items()),
     )
 
 
 def test_criterion_02_bound_ordering(triangle_grid):
+    rows, _ = triangle_grid
     worst = -np.inf
-    for cfg, user, exact, oracle, lb, mc in triangle_grid:
+    for cfg, user, exact, oracle, lb, mc in rows:
         worst = max(worst, lb - exact)
     ok = worst <= 1e-6
     assert _report(
@@ -296,7 +303,7 @@ def test_criterion_09_statistical_kernels():
     worst = 0.0
     for power in range(0, 9):
         for k in range(1, 9):
-            got = multinomial_coeffs(power, k).coeffs
+            got = multinomial_coeffs(power, k)
             want = _exact_poly_power(power, k)
             for g, w in zip(got, want):
                 worst = max(worst, abs(g - float(w)) / float(w))
@@ -305,12 +312,12 @@ def test_criterion_09_statistical_kernels():
     n = 1_000_000
     g1, g2, _ = draw_batch(dc, seeded_stream(99, 0), n)
     k1 = cfg.m_sr * cfg.tx_antennas
-    ks = [stats.kstest(g1, lambda x: gamma_norm_cdf(x, k1, dc.power_sr_est / cfg.m_sr)).statistic]
+    ks = [stats.kstest(g1, lambda x: stats.gamma.cdf(x, a=k1, scale=dc.power_sr_est / cfg.m_sr)).statistic]
     shape = cfg.m_ru[0] * cfg.rx_antennas
     scale = float(dc.power_ru_est[0]) / cfg.m_ru[0]
     for l in (1, 2, 3):
         ks.append(
-            stats.kstest(g2[:, l - 1], lambda x: ordered_cdf(x, l, 3, shape, scale)).statistic
+            stats.kstest(g2[:, l - 1], lambda x: 1.0 - ordered_sf(x, l, 3, shape, scale)).statistic
         )
     ok = worst < 1e-12 and max(ks) < 0.002
     assert _report(

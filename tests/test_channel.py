@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from fdnoma import (
-    default_config,
-    derive_constants,
-    draw_batch,
-    gamma_norm_cdf,
-    ordered_cdf,
-    ordered_pdf,
-    seeded_stream,
-)
+from fdnoma import default_config, derive_constants, draw_batch, ordered_sf, seeded_stream
 
 
 def test_same_key_reproduces_identical_draws(ideal_cfg):
@@ -77,8 +69,9 @@ def test_largest_order_statistic_mean_matches_quadrature():
     shape = cfg.m_ru[0] * cfg.rx_antennas
     _, g2, _ = draw_batch(dc, seeded_stream(6, 0), 1_000_000)
     emp = g2[:, 2].mean()
+    # the mean of a non-negative variable is the integral of its survival
     ref, _ = integrate.quad(
-        lambda x: x * ordered_pdf(x, 3, 3, shape, scale), 0, np.inf, limit=200
+        lambda x: ordered_sf(x, 3, 3, shape, scale), 0, np.inf, limit=200
     )
     assert emp == pytest.approx(ref, rel=0.01)
 
@@ -91,12 +84,12 @@ def test_empirical_cdfs_match_closed_forms(ideal_cfg):
     g1, g2, _ = draw_batch(dc, seeded_stream(7, 0), n)
     k1 = cfg.m_sr * cfg.tx_antennas
     scale1 = dc.power_sr_est / cfg.m_sr
-    ks1 = stats.kstest(g1, lambda x: gamma_norm_cdf(x, k1, scale1)).statistic
+    ks1 = stats.kstest(g1, lambda x: stats.gamma.cdf(x, a=k1, scale=scale1)).statistic
     assert ks1 < 0.002
     shape = cfg.m_ru[0] * cfg.rx_antennas
     scale2 = float(dc.power_ru_est[0]) / cfg.m_ru[0]
     for l in (1, 2, 3):
         ks = stats.kstest(
-            g2[:, l - 1], lambda x: ordered_cdf(x, l, 3, shape, scale2)
+            g2[:, l - 1], lambda x: 1.0 - ordered_sf(x, l, 3, shape, scale2)
         ).statistic
         assert ks < 0.002

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -48,6 +49,10 @@ def test_spec_validation():
         SweepSpec("snr_db", 0, 1, 0.1, ("mc",), ())
     with pytest.raises(ConfigError):
         SweepSpec("snr_db", 0, 1, 0.1, ("mc",), (1,), trials=0)
+    with pytest.raises(ConfigError):
+        SweepSpec("snr_db", 0, 1, 0.1, ("mc", "exact", "mc"), (1,))
+    with pytest.raises(ConfigError):
+        SweepSpec("snr_db", 0, 1, 0.1, ("mc",), (2, 2))
 
 
 def test_snr_sweep_rows_and_ordering(cfg_file, tmp_path):
@@ -55,7 +60,7 @@ def test_snr_sweep_rows_and_ordering(cfg_file, tmp_path):
     spec = SweepSpec(
         "snr_db", 0.0, 40.0, 2.0, ("exact", "lb"), (1, 2, 3), trials=1000, seed=1
     )
-    result = run_sweep(cfg_file, spec, out)
+    run_sweep(cfg_file, spec, out)
     header, rows = read_rows(out)
     assert len(rows) == 21
     assert header[0] == "x"
@@ -215,6 +220,9 @@ def test_main_rejects_bad_inputs(cfg_file, tmp_path, capsys):
     assert main(["--config", str(cfg_file), "--sweep", "mu=0:1:0.5"]) == 1
     assert main(["--config", str(cfg_file), "--bogus"]) == 1
     assert main(["--config", str(cfg_file), "--sweep", "mu=0:1:0.5", "--trials", "x", "--out", str(out)]) == 1
+    # repeated entries would repeat CSV columns
+    assert main(["--config", str(cfg_file), "--sweep", "mu=0:1:0.5", "--methods", "mc,exact,mc", "--out", str(out)]) == 1
+    assert main(["--config", str(cfg_file), "--sweep", "mu=0:1:0.5", "--users", "2,2", "--out", str(out)]) == 1
     assert not out.exists()
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -235,6 +243,7 @@ def test_main_numeric_failure_exit_code(cfg_file, tmp_path, capsys):
     ])
     assert rc == 2
     assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_invariant_violation_exit_code(cfg_file, tmp_path, capsys, monkeypatch):
@@ -254,3 +263,45 @@ def test_main_invariant_violation_exit_code(cfg_file, tmp_path, capsys, monkeypa
     assert rc == 3
     assert "invariant violation" in capsys.readouterr().err
     assert not out.exists()  # a failed invariant publishes no CSV
+
+
+@pytest.mark.parametrize(
+    "key, value, argv",
+    [
+        ("d_sr", "0.5", ["--validate"]),
+        ("kappa_sr", None, ["--validate"]),
+        ("m_sr", True, ["--validate"]),
+        ("thresholds", 2.0, ["--validate"]),
+        ("power_coeffs", [0.5, "1/3", 1 / 6], ["--validate"]),
+        ("m_ru", [1, [1], 1], ["--validate"]),
+        ("snr_db", "15", ["--validate"]),
+        ("snr_db", "15", ["--sweep", "snr_db=0:10:5", "--methods", "lb"]),
+        ("hd_thresholds", 1.5, ["--sweep", "snr_db=0:10:5", "--methods", "hd"]),
+        ("oma_threshold", "x", ["--sweep", "snr_db=0:10:5", "--methods", "oma"]),
+    ],
+)
+def test_main_rejects_wrongly_typed_config(tmp_path, capsys, key, value, argv):
+    d = config_to_dict(default_config())
+    d[key] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(d))
+    out = tmp_path / "x.csv"
+    assert main(["--config", str(p), "--trials", "100", "--out", str(out), *argv]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.out + captured.err
+    assert not out.exists()
+
+
+def test_failed_publish_keeps_previous_csv(cfg_file, tmp_path, monkeypatch):
+    out = tmp_path / "curve.csv"
+    out.write_text("previous run\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    spec = SweepSpec("snr_db", 0.0, 10.0, 5.0, ("lb",), (1,))
+    with pytest.raises(OSError, match="disk full"):
+        run_sweep(cfg_file, spec, out)
+    assert out.read_text() == "previous run\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "curve.csv"]
