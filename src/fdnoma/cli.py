@@ -7,10 +7,10 @@ grid point with one column per (user, method), Monte Carlo standard
 error columns and a per-user feasibility flag.  Re-running the same
 invocation reproduces the file byte for byte.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 numeric
-failure, 3 invariant violation (for example a lower bound exceeding the
-exact value beyond tolerance; surfaced, never clamped, and no CSV is
-written).
+Exit codes: 0 success, 1 configuration or usage error (an ``--out`` that
+cannot be written included), 2 numeric failure, 3 invariant violation
+(for example a lower bound exceeding the exact value beyond tolerance;
+surfaced, never clamped, and no CSV is written).
 """
 
 from __future__ import annotations
@@ -222,7 +222,10 @@ def validate_config(config_path, stream=None) -> int:
     """
     stream = sys.stdout if stream is None else stream
     try:
-        cfg = load_config(config_path)
+        cfg, extras = load_config_extras(config_path)
+        # the baseline keys get the checks an hd or oma sweep applies
+        BaselineConfig(base=cfg, mode="hd_noma", hd_thresholds=extras.get("hd_thresholds"))
+        BaselineConfig(base=cfg, mode="fd_oma", oma_threshold=extras.get("oma_threshold"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=stream)
         return 1
@@ -314,7 +317,11 @@ def main(argv=None) -> int:
             seed=args.seed,
             partitions=args.partitions,
         )
-        run_sweep(args.config, spec, args.out)
+        try:
+            run_sweep(args.config, spec, args.out)
+        except OSError as exc:  # publishing the CSV failed; no temporary is left
+            print(f"output error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

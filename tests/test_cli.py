@@ -305,3 +305,44 @@ def test_failed_publish_keeps_previous_csv(cfg_file, tmp_path, monkeypatch):
         run_sweep(cfg_file, spec, out)
     assert out.read_text() == "previous run\n"
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "curve.csv"]
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "outdir"])
+def test_main_unwritable_out_exit_code(cfg_file, tmp_path, capsys, target):
+    (tmp_path / "outdir").mkdir()
+    out = tmp_path / target
+    rc = main([
+        "--config", str(cfg_file), "--sweep", "snr_db=0:10:5", "--methods", "lb",
+        "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and str(out) in err
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "outdir"]
+    assert os.listdir(tmp_path / "outdir") == []
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("hd_thresholds", [1.0], "hd_thresholds needs one positive entry per user"),
+        ("hd_thresholds", [1.0, -1.0, 2.0], "hd_thresholds needs one positive entry per user"),
+        ("oma_threshold", 0.0, "oma_threshold must be positive"),
+    ],
+    ids=["hd-short", "hd-negative", "oma-zero"],
+)
+def test_validate_checks_baseline_keys(tmp_path, capsys, key, value, message):
+    # --validate and a sweep that uses the key reject the file alike
+    d = config_to_dict(default_config())
+    d[key] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(d))
+    assert main(["--config", str(p), "--validate"]) == 1
+    assert f"config error: {message}" in capsys.readouterr().out
+    method = "hd" if key == "hd_thresholds" else "oma"
+    out = tmp_path / "x.csv"
+    argv = ["--config", str(p), "--sweep", "snr_db=0:10:5", "--methods", method, "--trials", "100"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
