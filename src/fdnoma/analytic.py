@@ -4,11 +4,13 @@ Four routes to the same quantity, used to cross-validate each other:
 
 * :func:`op_exact` - the closed-form expansion: the first-hop Gamma CDF
   and the loop-interference integral are reduced analytically, the
-  ordered user-gain density is expanded through power-series
-  coefficients, and what remains is a finite alternating sum of
-  one-dimensional tail integrals (:func:`tail_weight_integral`), all
-  evaluated at once by one vectorized trapezoid rule on a log axis whose
-  step-halving check raises instead of returning an unchecked value.
+  ordered user-gain density is expanded in powers of its parent
+  survival function (:func:`~fdnoma.specfun.order_weights`), each power
+  through power-series coefficients, and what remains is a finite
+  alternating sum of one-dimensional tail integrals
+  (:func:`tail_weight_integral`), all evaluated at once by one
+  vectorized trapezoid rule on a log axis whose step-halving check
+  raises instead of returning an unchecked value.
 * :func:`op_oracle_2d` - direct adaptive 2-D quadrature of the outage
   probability over (user gain, loop-interference gain), mapped onto the
   unit square.  Slow but nearly assumption-free; the reference oracle.
@@ -41,7 +43,7 @@ from .config import (
     derive_constants,
     uniform_ru,
 )
-from .specfun import gamma_pdf, multinomial_coeffs, ordered_sf
+from .specfun import gamma_pdf, multinomial_coeffs, order_weights, ordered_sf
 
 __all__ = [
     "NumericsError",
@@ -172,69 +174,52 @@ def tail_weight_integral(
 def _term_table(k1: int, k2: int, num_users: int, order: int, m_li: int):
     """Index arrays and index-only log weights of the outage expansion.
 
-    Rows enumerate (n, m, s, s1, n1, n2, n3): first-hop CDF term n,
-    loop-interference binomial m, the two order-statistic indices
-    (s, s1), the power-series order n1 and the two shift binomials
-    (n2, n3).  Everything that does not depend on the channel constants
-    is folded into ``base_log``.
+    Rows enumerate (n, m, r, n1, n2, n3): first-hop CDF term n,
+    loop-interference binomial m, the survival power r of the ordered
+    user-gain density (:func:`~fdnoma.specfun.order_weights`), the
+    power-series order n1 and the two shift binomials (n2, n3).
+    Everything that does not depend on the channel constants is folded
+    into ``base`` (a log magnitude) and ``sign``.
     """
-    L, l = num_users, order
-    log_theta = {
-        s1: np.log(multinomial_coeffs(s1, k2)) for s1 in range(L)
-    }
-    rank = math.lgamma(L + 1) - math.lgamma(L - l + 1) - math.lgamma(l)
-
-    rows_n, rows_m, rows_s1 = [], [], []
-    pow_beta, pow_c, pow_u, p_exp, m_exp = [], [], [], [], []
-    base, sign = [], []
-    for n in range(k1):
-        for m in range(n + 1):
-            for s in range(L - l + 1):
-                for s1 in range(l + s):
-                    lth = log_theta[s1]
-                    for n1 in range(s1 * (k2 - 1) + 1):
-                        for n2 in range(n1 + k2):
-                            for n3 in range(n + 1):
-                                b = (
-                                    rank
-                                    + _log_comb(n, m)
-                                    + _log_comb(L - l, s)
-                                    + _log_comb(l + s - 1, s1)
-                                    + _log_comb(n1 + k2 - 1, n2)
-                                    + _log_comb(n, n3)
-                                    + math.lgamma(m + m_li)
-                                    - math.lgamma(n + 1)
-                                    - math.lgamma(m_li)
-                                    - math.lgamma(k2)
-                                    + lth[n1]
-                                )
-                                base.append(b)
-                                sign.append(-1.0 if (s + s1) % 2 else 1.0)
-                                rows_n.append(n)
-                                rows_m.append(m)
-                                rows_s1.append(s1)
-                                pow_beta.append(n1 + k2)
-                                pow_c.append(n1 + k2 - 1 - n2)
-                                pow_u.append(n - n3)
-                                p_exp.append(n2 + n3 + m + m_li - n)
-                                m_exp.append(m + m_li)
-
-    arr = lambda v, dt=np.int64: np.asarray(v, dtype=dt)
-    p_exp = arr(p_exp)
-    rows_s1 = arr(rows_s1)
-    m_exp = arr(m_exp)
-    keys = np.stack([p_exp, rows_s1, m_exp], axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    powers, weights = (np.array(v) for v in zip(*order_weights(order, num_users)))
+    n, m, j, n1, n2, n3 = np.array([
+        (n, m, j, n1, n2, n3)
+        for n in range(k1)
+        for m in range(n + 1)
+        for j, r in enumerate(powers)
+        for n1 in range(r * (k2 - 1) + 1)
+        for n2 in range(n1 + k2)
+        for n3 in range(n + 1)
+    ]).T
+    r = powers[j]
+    log_fact = np.array([math.lgamma(i + 1) for i in range(num_users * k2 + k1 + m_li)])
+    log_comb = lambda a, b: log_fact[a] - log_fact[b] - log_fact[a - b]
+    log_theta = np.full((len(powers), (num_users - 1) * (k2 - 1) + 1), -np.inf)
+    for i, p in enumerate(powers):
+        log_theta[i, : p * (k2 - 1) + 1] = np.log(multinomial_coeffs(p, k2))
+    base = (
+        np.log(np.abs(weights))[j]
+        + log_comb(n, m)
+        + log_comb(n1 + k2 - 1, n2)
+        + log_comb(n, n3)
+        + log_fact[m + m_li - 1]
+        - log_fact[n]
+        - math.lgamma(m_li)
+        - math.lgamma(k2)
+        + log_theta[j, n1]
+    )
+    p_exp = n2 + n3 + m + m_li - n
+    m_exp = m + m_li
+    uniq, inverse = np.unique(np.stack([p_exp, r, m_exp], axis=1), axis=0, return_inverse=True)
     return {
-        "base": arr(base, float),
-        "sign": arr(sign, float),
-        "n": arr(rows_n),
-        "m": arr(rows_m),
-        "s1": arr(rows_s1),
-        "pow_beta": arr(pow_beta),
-        "pow_c": arr(pow_c),
-        "pow_u": arr(pow_u),
-        "p": p_exp,
+        "base": base,
+        "sign": np.sign(weights)[j].astype(float),
+        "n": n,
+        "m": m,
+        "r": r,
+        "pow_beta": n1 + k2,
+        "pow_c": n1 + k2 - 1 - n2,
+        "pow_u": n - n3,
         "M": m_exp,
         "uniq": uniq,
         "inverse": inverse,
@@ -276,15 +261,15 @@ def _success_probability(dc: DerivedConstants, user: int):
     log_gd_rho = math.log(g_d + rho)
     scalar = cfg.m_li * math.log(rho) - e_big
 
-    p, s1, mm = tab["uniq"].T
-    log_t = _log_tail_weights(p, beta * (s1 + 1), q, shift, mm)
+    p, r, mm = tab["uniq"].T
+    log_t = _log_tail_weights(p, beta * (r + 1), q, shift, mm)
 
     lg = (
         tab["base"]
         + scalar
         + tab["pow_beta"] * log_beta
         + tab["pow_c"] * log_c
-        - (c * beta) * (tab["s1"] + 1)
+        - (c * beta) * (tab["r"] + 1)
         + tab["m"] * log_g45
         + tab["n"] * log_e
         + tab["pow_u"] * log_u
@@ -482,8 +467,9 @@ class AsymptoteReport:
     interference scales with transmit power, outage saturates) or
     ``cee_floor`` (channel estimation errors dominate, outage
     saturates); ``infeasible`` marks a configuration whose outage is 1.
-    ``hop1_gain``/``hop2_gain`` are the per-hop gain coefficients whose
-    minimum-diversity branch sets ``array_gain``.
+    In the ideal regime ``array_gain`` is the per-hop gain coefficient of
+    the hop with the smaller diversity order (their sum when the orders
+    tie).
     """
 
     user: int
@@ -491,8 +477,6 @@ class AsymptoteReport:
     diversity_order: float
     array_gain: float | None
     floor_value: float | None
-    hop1_gain: float | None = None
-    hop2_gain: float | None = None
 
     def probability(self, snr_lin: float) -> float:
         """Asymptotic outage at the given linear average SNR."""
@@ -584,6 +568,6 @@ def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:
         do, ag = do2, chi2
     return AsymptoteReport(
         user=l, regime="ideal", diversity_order=do, array_gain=ag,
-        floor_value=None, hop1_gain=chi1, hop2_gain=chi2,
+        floor_value=None,
     )
 

@@ -2,11 +2,13 @@
 
 Squared Nakagami-m channel norms are Gamma with integer shape, so every
 distribution here is an integer-shape Gamma or an order statistic of
-i.i.d. integer-shape Gammas.  The ordered survival function expands
-``(1 - F(x))**s1`` through the power-series coefficients of the
-truncated exponential sum (:func:`multinomial_coeffs`), the same
-coefficients the closed-form outage expansion reads, which keeps it a
-finite sum with relative accuracy in the deep upper tail.
+i.i.d. integer-shape Gammas.  :func:`order_weights` expands an order
+statistic's density in powers of the parent survival ``S = 1 - F``; it
+is the one such expansion, read by both the ordered survival function
+here and the closed-form outage expansion.  Each power ``S**p`` is a
+finite sum through the power-series coefficients of the truncated
+exponential sum (:func:`multinomial_coeffs`), so the ordered survival
+function keeps relative accuracy in the deep upper tail.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 __all__ = [
     "multinomial_coeffs",
     "gamma_pdf",
+    "order_weights",
     "ordered_sf",
 ]
 
@@ -55,35 +58,42 @@ def gamma_pdf(x, shape: int, scale: float):
     return out if out.ndim else float(out)
 
 
-def ordered_sf(x, order: int, num_users: int, shape: int, scale: float):
-    """Survival function of the ``order``-th smallest of ``num_users``
-    i.i.d. Gamma(shape, scale) gains.
+def order_weights(order: int, num_users: int) -> list[tuple[int, int]]:
+    """Expansion of the ``order``-th smallest of ``num_users`` i.i.d. gains
+    in powers of the parent survival function ``S = 1 - F``.
 
-    Computed directly as a finite sum so the deep upper tail keeps
-    relative accuracy (no ``1 - cdf`` cancellation).
+    Its density is ``rank * F**(l-1) * S**(L-l) * f`` with
+    ``rank = L! / ((L-l)! (l-1)!)`` (David & Nagaraja, *Order
+    Statistics*, 3rd ed., 2003, ch. 2); expanding ``(1 - S)**(l-1)`` gives
+    ``sum_j w_j * S**r_j * f`` with ``r_j = L - l + j`` and
+    ``w_j = (-1)**j * rank * C(l-1, j)``, ``j = 0..l-1``.  Returns the
+    pairs ``(r_j, w_j)``; the weights are exact integers.
     """
     if not 1 <= order <= num_users:
         raise ValueError(f"order must lie in 1..{num_users}")
     l, n = order, num_users
+    rank = math.comb(n, l) * l
+    return [(n - l + j, (-1) ** j * rank * math.comb(l - 1, j)) for j in range(l)]
+
+
+def ordered_sf(x, order: int, num_users: int, shape: int, scale: float):
+    """Survival function of the ``order``-th smallest of ``num_users``
+    i.i.d. Gamma(shape, scale) gains.
+
+    Integrates :func:`order_weights` term by term,
+    ``sum_j w_j / (r_j + 1) * S**(r_j + 1)``, with each power of the
+    parent survival ``S(x) = exp(-t) * sum_{k<shape} t**k / k!`` (``t =
+    x / scale``) written as ``exp(-p*t) * polyval(t, multinomial_coeffs(p,
+    shape))``.  The leading power dominates as ``S -> 0``, so the deep
+    upper tail keeps relative accuracy (no ``1 - cdf`` cancellation).
+    """
     t = np.asarray(x, dtype=float) / scale
     # past ~700/scale the exponential factors underflow to exactly 0;
     # capping t keeps the polynomial factors from overflowing first
     t = np.clip(t, 0.0, 1e6)
-    q = math.factorial(n) / (math.factorial(n - l) * math.factorial(l - 1))
     total = np.zeros_like(t)
-    for s in range(n - l + 1):
-        for s1 in range(1, l + s + 1):
-            table = multinomial_coeffs(s1, shape)
-            poly = np.polynomial.polynomial.polyval(t, table)
-            sign = -1.0 if (s + s1 - 1) % 2 else 1.0
-            total += (
-                sign
-                * math.comb(n - l, s)
-                * math.comb(l + s, s1)
-                / (l + s)
-                * poly
-                * np.exp(-s1 * t)
-            )
-    total *= q
+    for r, w in order_weights(order, num_users):
+        poly = np.polynomial.polynomial.polyval(t, multinomial_coeffs(r + 1, shape))
+        total += w / (r + 1) * poly * np.exp(-(r + 1) * t)
     out = np.clip(total, 0.0, 1.0)
     return out if out.ndim else float(out)

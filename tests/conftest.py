@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,3 +15,22 @@ def ideal_cfg():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _exact_poly_power(base, power):
+    """Exact rational coefficients of ``(sum_k base[k] * x**k) ** power``."""
+    base = [Fraction(b) for b in base]
+    out = [Fraction(1)]
+    for _ in range(power):
+        new = [Fraction(0)] * (len(out) + len(base) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(base):
+                new[i + j] += a * b
+        out = new
+    return out
+
+
+@pytest.fixture
+def exact_poly_power():
+    """Independent oracle for polynomial powers, in exact rationals."""
+    return _exact_poly_power

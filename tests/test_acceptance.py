@@ -287,24 +287,12 @@ def test_criterion_08_estimation_error_floor():
     )
 
 
-def _exact_poly_power(power, base_terms):
-    base = [Fraction(1, math.factorial(k)) for k in range(base_terms)]
-    out = [Fraction(1)]
-    for _ in range(power):
-        new = [Fraction(0)] * (len(out) + len(base) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(base):
-                new[i + j] += a * b
-        out = new
-    return out
-
-
-def test_criterion_09_statistical_kernels():
+def test_criterion_09_statistical_kernels(exact_poly_power):
     worst = 0.0
     for power in range(0, 9):
         for k in range(1, 9):
             got = multinomial_coeffs(power, k)
-            want = _exact_poly_power(power, k)
+            want = exact_poly_power([Fraction(1, math.factorial(j)) for j in range(k)], power)
             for g, w in zip(got, want):
                 worst = max(worst, abs(g - float(w)) / float(w))
     cfg = default_config(rx_antennas=2, li_quality_mu=0.2)

@@ -1,24 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
 
 from fdnoma import gamma_pdf, multinomial_coeffs, ordered_sf
-
-
-def exact_power_coeffs(power, base_terms):
-    """Independent oracle: exact rational polynomial power."""
-    base = [Fraction(1, math.factorial(k)) for k in range(base_terms)]
-    out = [Fraction(1)]
-    for _ in range(power):
-        new = [Fraction(0)] * (len(out) + len(base) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(base):
-                new[i + j] += a * b
-        out = new
-    return out
+from fdnoma.specfun import order_weights
 
 
 def test_multinomial_trivial_cases():
@@ -35,9 +24,9 @@ def test_multinomial_squared_coefficient():
 
 @pytest.mark.parametrize("power", [0, 1, 2, 3, 5, 8])
 @pytest.mark.parametrize("base_terms", [1, 2, 4, 8])
-def test_multinomial_against_exact_rationals(power, base_terms):
+def test_multinomial_against_exact_rationals(power, base_terms, exact_poly_power):
     got = multinomial_coeffs(power, base_terms)
-    want = exact_power_coeffs(power, base_terms)
+    want = exact_poly_power([Fraction(1, math.factorial(k)) for k in range(base_terms)], power)
     assert len(got) == power * (base_terms - 1) + 1
     assert got[0] == 1.0
     for g, w in zip(got, want):
@@ -67,6 +56,39 @@ def reference_ordered_sf(x, order, n, shape, scale):
     F = stats.gamma.cdf(x, a=shape, scale=scale)
     S = stats.gamma.sf(x, a=shape, scale=scale)
     return sum(math.comb(n, j) * F ** j * S ** (n - j) for j in range(order))
+
+
+def mp_ordered_sf(x, order, n, shape, scale):
+    """50-digit binomial mixing of the parent law's CDF and survival."""
+    with mp.workdps(50):
+        t = mp.mpf(x) / scale
+        S = mp.exp(-t) * mp.fsum(t ** k / mp.factorial(k) for k in range(shape))
+        return float(mp.fsum(mp.binomial(n, j) * (1 - S) ** j * S ** (n - j) for j in range(order)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_order_weights_expand_the_ordered_density(n, exact_poly_power):
+    # rank * F**(l-1) * S**(n-l) with F = 1 - S, coefficient by coefficient in S
+    for l in range(1, n + 1):
+        rank = Fraction(math.factorial(n), math.factorial(n - l) * math.factorial(l - 1))
+        want = [0] * (n - l) + [rank * c for c in exact_poly_power([1, -1], l - 1)]
+        got = [0] * n
+        for r, w in order_weights(l, n):
+            got[r] += w
+        assert got == want
+
+
+def test_ordered_sf_relative_accuracy_in_deep_tail():
+    # e.g. the smallest of 3 Exp(1) gains at x = 20 is 8.76e-27: the
+    # survival must keep its relative digits, not its absolute ones
+    for n in range(2, 6):
+        for l in range(1, n):
+            for shape in (1, 2, 4):
+                for scale in (1.0, 2.5):
+                    xs = np.linspace(0.0, 60.0, 61) * scale
+                    got = ordered_sf(xs, l, n, shape, scale)
+                    want = np.array([mp_ordered_sf(x, l, n, shape, scale) for x in xs])
+                    assert np.abs(got / want - 1.0).max() <= 1e-12, (l, n, shape, scale)
 
 
 def test_single_user_reduces_to_gamma():
