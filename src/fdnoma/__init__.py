@@ -2,7 +2,7 @@
 networks over Nakagami-m fading, with residual hardware impairments,
 channel estimation errors and imperfect SIC.
 
-Exact closed forms, a direct quadrature oracle, high-SNR asymptotics and
+Exact closed forms, a direct 2-D integration oracle, high-SNR asymptotics and
 a deterministic Monte Carlo engine cross-validate each other; a CLI
 sweeps parameters and emits CSV curves.
 """

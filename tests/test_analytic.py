@@ -19,9 +19,10 @@ from fdnoma import (
     op_oracle_2d,
     tail_weight_integral,
 )
-from fdnoma.analytic import _log_tail_weights, _os_cdf_direct, _os_pdf_direct
+from fdnoma import analytic
+from fdnoma.analytic import _log_tail_weights
 from fdnoma.cli import ORDER_TOL
-from fdnoma.config import ConfigError, uniform_ru
+from fdnoma.config import ConfigError
 
 
 def mp_tail_integral(p, rate, inv_rate, shift, shift_power, dps=30):
@@ -219,13 +220,28 @@ class TestExactVsOracle:
 
     def test_closed_form_calls_no_quadrature(self, monkeypatch):
         def no_quad(*args, **kwargs):
-            raise AssertionError("op_exact called scipy.integrate.quad")
+            raise AssertionError("an analytic route called scipy.integrate.quad")
 
-        monkeypatch.setattr("fdnoma.analytic.quad", no_quad)
+        monkeypatch.setattr(integrate, "quad", no_quad)
+        assert not hasattr(analytic, "quad")
         for kw in CROSS_CASES:
             cfg = default_config(**kw)
             for u in range(1, cfg.num_users + 1):
                 assert 0.0 < op_exact(cfg, u) < 1.0
+                assert 0.0 < op_oracle_2d(cfg, u) < 1.0
+                assert 0.0 <= op_lower_bound(cfg, u) < 1.0
+                assert op_asymptotic(cfg, u).regime != "infeasible"
+
+    def test_oracle_window_at_scan_edge_raises(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_ORACLE_REACH", (5.0, 1.0))
+        with pytest.raises(NumericsError, match="scan"):
+            op_oracle_2d(default_config(li_quality_mu=0.2, snr_db=30.0), 1)
+
+    def test_oracle_unresolved_body_raises(self, monkeypatch):
+        # one node per unit of log gain cannot resolve the bump to 1e-12
+        monkeypatch.setattr(analytic, "_ORACLE_STEP", 1.0)
+        with pytest.raises(NumericsError, match="step-halving"):
+            op_oracle_2d(default_config(li_quality_mu=0.2, snr_db=30.0), 1)
 
     def test_cancellation_guard_raises_deep_in_tail(self):
         cfg = default_config(li_quality_mu=0.2, tx_antennas=2, rx_antennas=2, snr_db=120.0)
@@ -233,58 +249,10 @@ class TestExactVsOracle:
             op_exact(cfg, 1)
 
 
-def _log_axis_quad(f, lo, hi, rel_tol):
-    """quad of f over [lo, hi], split into 12 fixed pieces at the start."""
-    points = np.linspace(lo, hi, 13)[1:-1]
-    return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=500, points=points)[0]
-
-
-def logaxis_outage(cfg, user):
-    """Outage by quadrature on log axes: an independent deep-tail reference.
-
-    The head P(g2 <= c) is the oracle's binomial form; the body, the
-    first-hop CDF over the ordered user gain y > c and the
-    loop-interference gain z, is integrated over log(y - c) and log z.
-    The oracle's t/(1-t) maps squeeze the body's mass just above the
-    floor c onto a sliver the adaptive rule can miss; on the log axis it
-    is an ordinary bump.  Neither the closed form's expansion nor its
-    tail kernel is used.
-    """
-    dc = derive_constants(cfg)
-    l, L = user, cfg.num_users
-    m_ru, power_ru_est = uniform_ru(dc)
-    k1 = cfg.m_sr * cfg.tx_antennas
-    k2 = m_ru * cfg.rx_antennas
-    scale1 = dc.power_sr_est / cfg.m_sr
-    scale2 = power_ru_est / m_ru
-    scale3 = dc.power_li / cfg.m_li
-    g = dc.snr_lin
-    t2 = float(dc.noise_ru[l - 1])
-    t3, t4, t5 = dc.rhi_amp, dc.sr_derate, dc.noise_sr
-    dmax = float(dc.demand_peak[l - 1])
-    c = t2 * t3 * dmax
-    log_gamma_li = math.lgamma(cfg.m_li)
-
-    def inner(b, y, d):
-        # z * (density of z) * P(g1 < need), at z = e^b and y = c + d
-        v = math.exp(b) / scale3
-        need = (y * g + t2) * (v * scale3 * g * t4 + t5) * t3 * dmax / (g * d)
-        return special.gammainc(k1, need / scale1) * math.exp(cfg.m_li * math.log(v) - v - log_gamma_li)
-
-    def outer(a):
-        d = math.exp(a)
-        w = _os_pdf_direct(c + d, l, L, k2, scale2)
-        if w == 0.0:
-            return 0.0
-        lz = math.log(scale3)
-        return w * d * _log_axis_quad(lambda b: inner(b, c + d, d), lz - 40.0, lz + 5.0, 1e-12)
-
-    ly = math.log(scale2)
-    return _os_cdf_direct(c, l, L, k2, scale2) + _log_axis_quad(outer, ly - 40.0, ly + 6.0, 1e-9)
-
-
 # 3x2 antennas, mu = 0, user 1: 7.6e-6 at 30 dB and 7.6e-8 at 40 dB, where
-# the body above the floor is ~1e-3 of the outage
+# the body above the floor is ~1e-3 of the outage.  Pinned from an
+# adaptive-quad reference on the same log axes as op_oracle_2d (each axis
+# in 12 fixed pieces; 27 pieces and wider axes moved it by under 4e-14).
 DEEP_TAIL = {30.0: 7.649246009e-06, 40.0: 7.599259702e-08}
 
 
@@ -292,26 +260,21 @@ def deep_tail_config(snr_db):
     return default_config(tx_antennas=3, rx_antennas=2, li_quality_mu=0.0, snr_db=snr_db)
 
 
-@pytest.fixture(scope="module")
-def deep_tail_reference():
-    return {snr: logaxis_outage(deep_tail_config(snr), 1) for snr in DEEP_TAIL}
-
-
 class TestDeepTail:
     @pytest.mark.parametrize("snr_db", sorted(DEEP_TAIL))
-    def test_exact_matches_logaxis_reference(self, snr_db, deep_tail_reference):
-        ref = deep_tail_reference[snr_db]
-        # with 27 pieces per axis, both axes reaching 10 further left and a
-        # 10x tighter outer tolerance the reference moves by under 4e-14
-        assert ref == pytest.approx(DEEP_TAIL[snr_db], rel=1e-9)
-        assert op_exact(deep_tail_config(snr_db), 1) == pytest.approx(ref, rel=1e-6)
+    def test_exact_matches_logaxis_reference(self, snr_db):
+        assert op_exact(deep_tail_config(snr_db), 1) == pytest.approx(DEEP_TAIL[snr_db], rel=1e-6)
 
-    @pytest.mark.xfail(strict=True, reason="op_oracle_2d misses about half of the body just above the floor")
-    @pytest.mark.parametrize("tol", [{}, dict(rel_tol=1e-12, abs_tol=1e-15)], ids=["default", "tight"])
-    def test_oracle_misses_body_above_floor(self, tol, deep_tail_reference):
-        # reads 7.5956504e-08 at both tolerances, 4.7e-4 low
-        got = op_oracle_2d(deep_tail_config(40.0), 1, **tol)
-        assert got == pytest.approx(deep_tail_reference[40.0], rel=1e-6)
+    @pytest.mark.parametrize("snr_db", sorted(DEEP_TAIL))
+    def test_oracle_matches_logaxis_reference(self, snr_db):
+        assert op_oracle_2d(deep_tail_config(snr_db), 1) == pytest.approx(DEEP_TAIL[snr_db], rel=1e-9)
+
+    def test_oracle_holds_body_within_one_over_snr_of_floor(self):
+        # 2x2, mu 0.2, 60 dB, user 3: the body sits within ~1/SNR of the floor c
+        cfg = default_config(tx_antennas=2, rx_antennas=2, li_quality_mu=0.2, snr_db=60.0)
+        orc = op_oracle_2d(cfg, 3)
+        assert orc >= op_lower_bound(cfg, 3)
+        assert orc == pytest.approx(op_exact(cfg, 3), rel=1e-5)
 
 
 class TestLowerBound:
@@ -383,6 +346,18 @@ class TestAsymptotics:
         r = op_asymptotic(cfg, 1)
         orc = op_oracle_2d(replace(cfg, snr_db=60.0), 1)
         assert r.probability(1e6) == pytest.approx(orc, rel=0.10)
+
+    @pytest.mark.parametrize("antennas", [1, 2])
+    def test_tied_orders_add_asymptotes(self, antennas):
+        # m_sr 2, mu 0.5: first-hop order 0.5 * 2 * tx equals user 1's
+        # second-hop order rx, so both hops' asymptotes count
+        cfg = default_config(tx_antennas=antennas, rx_antennas=antennas, m_sr=2, li_quality_mu=0.5)
+        r = op_asymptotic(cfg, 1)
+        assert r.diversity_order == pytest.approx(antennas)
+        off = [abs(r.probability(10.0 ** (snr / 10)) / op_oracle_2d(replace(cfg, snr_db=snr), 1) - 1.0)
+               for snr in (60.0, 70.0)]
+        assert off[1] <= 1e-2
+        assert off[1] < off[0]
 
     @pytest.mark.parametrize("m_li", [1, 2])
     @pytest.mark.parametrize("m_sr", [1, 2])
