@@ -35,12 +35,11 @@ from .config import (
     config_hash,
     default_config,
     derive_constants,
-    feasibility,
     load_config,
     threshold_from_rate,
 )
 from .montecarlo import OutageEstimate, estimate, estimate_all_users
-from .specfun import gamma_pdf, multinomial_coeffs, ordered_sf
+from .specfun import multinomial_coeffs, ordered_sf
 
 __all__ = [
     "__version__",
@@ -59,8 +58,6 @@ __all__ = [
     "estimate",
     "estimate_all_users",
     "fd_thresholds_rate_matched",
-    "feasibility",
-    "gamma_pdf",
     "hd_outage_all",
     "hd_thresholds_rate_matched",
     "load_config",

@@ -14,8 +14,10 @@ Four routes to the same quantity, used to cross-validate each other:
 * :func:`op_oracle_2d` - direct 2-D integration of the outage
   probability over (user gain above its floor, loop-interference gain)
   on log axes, by one vectorized tensor-product trapezoid rule with a
-  step-halving check.  It shares nothing with the closed form's
-  expansion and is nearly assumption-free; the reference oracle.
+  step-halving check.  Its head and densities come from the binomial
+  order-statistic law in :mod:`~fdnoma.specfun`; it shares nothing
+  with the closed form's expansion and is nearly assumption-free; the
+  reference oracle.
 * :func:`op_lower_bound` - fully closed form obtained by bounding the
   two-hop SIDNR by the smaller of the per-hop ratios.
 * :func:`op_asymptotic` - high-SNR behavior: diversity order and array
@@ -36,7 +38,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, xlogy
+from scipy.special import gammainc
 
 from .config import (
     DerivedConstants,
@@ -44,7 +46,7 @@ from .config import (
     derive_constants,
     uniform_ru,
 )
-from .specfun import multinomial_coeffs, order_weights, ordered_sf
+from .specfun import multinomial_coeffs, order_weights, ordered_cdf, ordered_logpdf, ordered_sf
 
 __all__ = [
     "NumericsError",
@@ -326,38 +328,6 @@ _ORACLE_REACH = (50.0, 8.0)
 _ORACLE_REL_TOL = 1e-12
 
 
-def _os_cdf_direct(x, order, num_users, shape, scale):
-    """Order-statistic CDF straight from the binomial mixing of the
-    underlying Gamma CDF (independent of the power-series route)."""
-    F = gammainc(shape, max(x, 0.0) / scale)
-    return math.fsum(
-        math.comb(num_users, j) * F ** j * (1.0 - F) ** (num_users - j)
-        for j in range(order, num_users + 1)
-    )
-
-
-def _os_logpdf_direct(x, order, num_users, shape, scale):
-    """log density of the order-th smallest of num_users Gamma gains at x > 0.
-
-    The binomial form rank * F**(l-1) * S**(L-l) * f, with F and S each
-    taken straight from the regularized incomplete gamma functions, so
-    each keeps relative accuracy in its own tail; ``xlogy`` makes the
-    absent factor of l = 1 or l = L exactly 0 in log space.
-    """
-    u = x / scale
-    l, n = order, num_users
-    log_rank = math.lgamma(n + 1) - math.lgamma(n - l + 1) - math.lgamma(l)
-    return (
-        log_rank
-        + xlogy(l - 1, gammainc(shape, u))
-        + xlogy(n - l, gammaincc(shape, u))
-        + (shape - 1) * np.log(u)
-        - u
-        - math.lgamma(shape)
-        - math.log(scale)
-    )
-
-
 def _scan_window(axis, inside):
     """[first, last] of ``axis`` where ``inside`` holds, widened by one node."""
     idx = np.flatnonzero(inside)
@@ -373,7 +343,9 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
     The outage region is the union of {ordered user gain y below its
     floor c} and, above the floor, {first-hop gain below the level
     ``need(y, z)`` forced by y and the loop-interference gain z}.  The
-    head P(y <= c) is the binomial order-statistic CDF; the body
+    head P(y <= c) is :func:`~fdnoma.specfun.ordered_cdf`, and the
+    densities of y and z are :func:`~fdnoma.specfun.ordered_logpdf` (z
+    as the single "order statistic" of one gain); the body
     E[P(g1 < need); y > c] is integrated over a = log(y - c) and
     b = log z, where its mass just above the floor and its slow
     power-law flanks become one smooth bump, by a tensor-product
@@ -405,7 +377,7 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
     dmax = float(dc.demand_peak[l - 1])
     c = t2 * t3 * dmax
 
-    head = _os_cdf_direct(c, l, L, k2, scale2)
+    head = ordered_cdf(c, l, L, k2, scale2)
 
     # The integrand factors into a row part in a = log(y - c), a column
     # part in b = log z and P(g1 < need); need / scale1 is the product of
@@ -414,11 +386,11 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
 
     def rows(a):
         y = c + np.exp(a)
-        return a + _os_logpdf_direct(y, l, L, k2, scale2), np.log(y * g + t2) + log_need0 - a
+        return a + ordered_logpdf(y, l, L, k2, scale2), np.log(y * g + t2) + log_need0 - a
 
     def cols(b):
         z = np.exp(b)
-        return m_li * (b - math.log(scale3)) - z / scale3 - math.lgamma(m_li), np.log(z * g * t4 + t5)
+        return b + ordered_logpdf(z, 1, 1, m_li, scale3), np.log(z * g * t4 + t5)
 
     def phi(row, col):
         """log of the body's integrand in (a, b), rows by columns."""

@@ -38,7 +38,6 @@ __all__ = [
     "SystemConfig",
     "DerivedConstants",
     "derive_constants",
-    "feasibility",
     "default_config",
     "threshold_from_rate",
     "load_config",
@@ -268,14 +267,6 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
         demand_peak=demand_peak,
         feasible=feasible,
     )
-
-
-def feasibility(cfg: SystemConfig, user: int) -> bool:
-    """True iff every decode stage j <= user has positive power margin."""
-    dc = derive_constants(cfg)
-    if not 1 <= user <= cfg.num_users:
-        raise ConfigError(f"user index must lie in 1..{cfg.num_users}")
-    return bool(dc.feasible[user - 1])
 
 
 def uniform_ru(dc: DerivedConstants) -> tuple[int, float]:

@@ -2,39 +2,39 @@
 
 Squared Nakagami-m channel norms are Gamma with integer shape, so every
 distribution here is an integer-shape Gamma or an order statistic of
-i.i.d. integer-shape Gammas.  :func:`order_weights` expands an order
-statistic's density in powers of the parent survival ``S = 1 - F``; it
-is the one such expansion, read by both the ordered survival function
-here and the closed-form outage expansion.  Each power ``S**p`` is a
-finite sum through the power-series coefficients of the truncated
-exponential sum (:func:`multinomial_coeffs`), so the ordered survival
-function keeps relative accuracy in the deep upper tail.
+i.i.d. integer-shape Gammas.  The law of the ``l``-th smallest of ``L``
+such gains is evaluated here only, in the binomial form of the parent
+CDF ``F`` and survival ``S`` (David & Nagaraja, *Order Statistics*, 3rd
+ed., 2003, ch. 2), each from its own regularized incomplete gamma
+function and with only positive terms, so it keeps relative accuracy in
+both tails: :func:`ordered_cdf`, :func:`ordered_sf`, :func:`ordered_logpdf`.
+:func:`order_weights` and :func:`multinomial_coeffs` serve the
+closed-form outage expansion only.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammainc, gammaincc, xlogy
 
 __all__ = [
     "multinomial_coeffs",
-    "gamma_pdf",
     "order_weights",
+    "ordered_cdf",
     "ordered_sf",
+    "ordered_logpdf",
 ]
 
 
-@lru_cache(maxsize=512)
 def multinomial_coeffs(power: int, base_terms: int) -> np.ndarray:
     """Coefficients of ``(sum_{n<base_terms} x**n / n!) ** power``, by
     iterated polynomial convolution.
 
-    Returns a read-only array (shared through the cache) whose entry
-    ``j`` multiplies ``x**j``; it has ``power * (base_terms - 1) + 1``
-    entries, all positive, and starts with 1.  The zeroth power is the
-    empty product, a single coefficient 1.
+    Entry ``j`` multiplies ``x**j``; there are ``power * (base_terms - 1)
+    + 1`` entries, all positive, starting with 1.  The zeroth power is
+    the empty product, a single coefficient 1.
     """
     if power < 0 or base_terms < 1:
         raise ValueError("power must be >= 0 and base_terms >= 1")
@@ -42,20 +42,7 @@ def multinomial_coeffs(power: int, base_terms: int) -> np.ndarray:
     out = np.array([1.0])
     for _ in range(power):
         out = np.convolve(out, base)
-    out.setflags(write=False)
     return out
-
-
-def gamma_pdf(x, shape: int, scale: float):
-    """Density of Gamma(integer shape, scale)."""
-    x = np.asarray(x, dtype=float)
-    t = np.maximum(x, 0.0) / scale
-    logpdf = (shape - 1) * np.log(np.where(t > 0, t, 1.0)) - t \
-        - math.lgamma(shape) - math.log(scale)
-    out = np.where(x > 0, np.exp(logpdf), 0.0)
-    if shape == 1:
-        out = np.where(x == 0, 1.0 / scale, out)
-    return out if out.ndim else float(out)
 
 
 def order_weights(order: int, num_users: int) -> list[tuple[int, int]]:
@@ -63,37 +50,76 @@ def order_weights(order: int, num_users: int) -> list[tuple[int, int]]:
     in powers of the parent survival function ``S = 1 - F``.
 
     Its density is ``rank * F**(l-1) * S**(L-l) * f`` with
-    ``rank = L! / ((L-l)! (l-1)!)`` (David & Nagaraja, *Order
-    Statistics*, 3rd ed., 2003, ch. 2); expanding ``(1 - S)**(l-1)`` gives
+    ``rank = L! / ((L-l)! (l-1)!)``; expanding ``(1 - S)**(l-1)`` gives
     ``sum_j w_j * S**r_j * f`` with ``r_j = L - l + j`` and
     ``w_j = (-1)**j * rank * C(l-1, j)``, ``j = 0..l-1``.  Returns the
     pairs ``(r_j, w_j)``; the weights are exact integers.
     """
-    if not 1 <= order <= num_users:
-        raise ValueError(f"order must lie in 1..{num_users}")
+    _check_order(order, num_users)
     l, n = order, num_users
     rank = math.comb(n, l) * l
     return [(n - l + j, (-1) ** j * rank * math.comb(l - 1, j)) for j in range(l)]
 
 
+def _check_order(order: int, num_users: int):
+    if not 1 <= order <= num_users:
+        raise ValueError(f"order must lie in 1..{num_users}")
+
+
+def _binomial_halves(x, order: int, num_users: int, shape: int, scale: float):
+    """(CDF, survival) at ``x``: the binomial terms ``C(L, j) F**j S**(L-j)``
+    split at ``j = l``, both halves divided by their total ``(F + S)**L``
+    (1 up to rounding), so that they add to 1 within rounding at every ``L``.
+    """
+    _check_order(order, num_users)
+    t = np.maximum(np.asarray(x, dtype=float), 0.0) / scale
+    F, S = gammainc(shape, t), gammaincc(shape, t)
+    terms = [math.comb(num_users, j) * F ** j * S ** (num_users - j) for j in range(num_users + 1)]
+    lower, upper = sum(terms[order:]), sum(terms[:order])
+    return lower / (lower + upper), upper / (lower + upper)
+
+
+def ordered_cdf(x, order: int, num_users: int, shape: int, scale: float):
+    """CDF of the ``order``-th smallest of ``num_users`` i.i.d.
+    Gamma(shape, scale) gains: ``sum_{j>=l} C(L, j) F**j S**(L-j)``.
+
+    Every term carries at least ``F**l``, so the deep lower tail keeps
+    relative accuracy.
+    """
+    out = _binomial_halves(x, order, num_users, shape, scale)[0]
+    return out if out.ndim else float(out)
+
+
 def ordered_sf(x, order: int, num_users: int, shape: int, scale: float):
     """Survival function of the ``order``-th smallest of ``num_users``
-    i.i.d. Gamma(shape, scale) gains.
+    i.i.d. Gamma(shape, scale) gains: ``sum_{j<l} C(L, j) F**j S**(L-j)``.
 
-    Integrates :func:`order_weights` term by term,
-    ``sum_j w_j / (r_j + 1) * S**(r_j + 1)``, with each power of the
-    parent survival ``S(x) = exp(-t) * sum_{k<shape} t**k / k!`` (``t =
-    x / scale``) written as ``exp(-p*t) * polyval(t, multinomial_coeffs(p,
-    shape))``.  The leading power dominates as ``S -> 0``, so the deep
-    upper tail keeps relative accuracy (no ``1 - cdf`` cancellation).
+    Every term carries at least ``S**(L-l+1)``, so the deep upper tail
+    keeps relative accuracy (no ``1 - cdf`` cancellation).
     """
-    t = np.asarray(x, dtype=float) / scale
-    # past ~700/scale the exponential factors underflow to exactly 0;
-    # capping t keeps the polynomial factors from overflowing first
-    t = np.clip(t, 0.0, 1e6)
-    total = np.zeros_like(t)
-    for r, w in order_weights(order, num_users):
-        poly = np.polynomial.polynomial.polyval(t, multinomial_coeffs(r + 1, shape))
-        total += w / (r + 1) * poly * np.exp(-(r + 1) * t)
-    out = np.clip(total, 0.0, 1.0)
+    out = _binomial_halves(x, order, num_users, shape, scale)[1]
     return out if out.ndim else float(out)
+
+
+def ordered_logpdf(x, order: int, num_users: int, shape: int, scale: float):
+    """log density of the ``order``-th smallest of ``num_users`` i.i.d.
+    Gamma(shape, scale) gains at ``x >= 0``.
+
+    The binomial form ``rank * F**(l-1) * S**(L-l) * f``, ``rank = L! /
+    ((L-l)! (l-1)!)``; ``xlogy`` makes each absent factor (``l = 1``,
+    ``l = L``, ``shape = 1``) exactly 0 in log space, so ``order =
+    num_users = 1`` is the Gamma log density.
+    """
+    _check_order(order, num_users)
+    l, n = order, num_users
+    u = np.asarray(x, dtype=float) / scale
+    log_rank = math.lgamma(n + 1) - math.lgamma(n - l + 1) - math.lgamma(l)
+    return (
+        log_rank
+        + xlogy(l - 1, gammainc(shape, u))
+        + xlogy(n - l, gammaincc(shape, u))
+        + xlogy(shape - 1, u)
+        - u
+        - math.lgamma(shape)
+        - math.log(scale)
+    )

@@ -9,7 +9,6 @@ from fdnoma import (
     config_hash,
     default_config,
     derive_constants,
-    feasibility,
     threshold_from_rate,
 )
 from fdnoma.config import config_from_dict, config_to_dict, load_config
@@ -54,11 +53,12 @@ def test_link_powers_and_estimates():
 
 
 def test_feasibility_examples():
-    assert feasibility(default_config(), 1)
-    assert feasibility(default_config(), 3)
+    ok = derive_constants(default_config())
+    assert ok.feasible[0]
+    assert ok.feasible[2]
     bad = default_config(thresholds=(1.2, 1.5, 2.0))
-    assert not feasibility(bad, 1)
     dc = derive_constants(bad)
+    assert not dc.feasible[0]
     assert math.isinf(dc.demand[0])
     # stages accumulate: user 3 inherits user 1's infeasibility
     assert not dc.feasible[2]

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fdnoma import gamma_pdf, multinomial_coeffs, ordered_sf
-from fdnoma.specfun import order_weights
+from fdnoma import multinomial_coeffs, ordered_sf
+from fdnoma.specfun import order_weights, ordered_cdf, ordered_logpdf
 
 
 def test_multinomial_trivial_cases():
@@ -43,14 +43,6 @@ def test_multinomial_generating_function_identity(rng):
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_gamma_pdf_matches_scipy(rng):
-    xs = rng.uniform(0.01, 8.0, 50)
-    for k, scale in [(1, 1.0), (2, 0.5), (4, 2.0)]:
-        assert np.allclose(
-            gamma_pdf(xs, k, scale), stats.gamma.pdf(xs, a=k, scale=scale), rtol=1e-10
-        )
-
-
 def reference_ordered_sf(x, order, n, shape, scale):
     """Textbook binomial mixing of the underlying CDF and survival."""
     F = stats.gamma.cdf(x, a=shape, scale=scale)
@@ -64,6 +56,13 @@ def mp_ordered_sf(x, order, n, shape, scale):
         t = mp.mpf(x) / scale
         S = mp.exp(-t) * mp.fsum(t ** k / mp.factorial(k) for k in range(shape))
         return float(mp.fsum(mp.binomial(n, j) * (1 - S) ** j * S ** (n - j) for j in range(order)))
+
+
+def mp_ordered_cdf(x, order, n, shape, scale):
+    """50-digit binomial mixing, the parent CDF from its own lower-tail series."""
+    with mp.workdps(50):
+        F = mp.gammainc(shape, 0, mp.mpf(x) / scale, regularized=True)
+        return float(mp.fsum(mp.binomial(n, j) * F ** j * (1 - F) ** (n - j) for j in range(order, n + 1)))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -91,6 +90,57 @@ def test_ordered_sf_relative_accuracy_in_deep_tail():
                     assert np.abs(got / want - 1.0).max() <= 1e-12, (l, n, shape, scale)
 
 
+def test_ordered_cdf_relative_accuracy_in_deep_lower_tail():
+    # e.g. the largest of 5 Gamma(4) gains at 1e-4 of the scale is ~1e-87:
+    # the CDF must keep its relative digits, which 1 - ordered_sf cannot
+    for n in range(2, 6):
+        for l in range(1, n + 1):
+            for shape in (1, 2, 4):
+                for scale in (1.0, 2.5):
+                    xs = np.geomspace(1e-4, 20.0, 40) * scale
+                    got = ordered_cdf(xs, l, n, shape, scale)
+                    want = np.array([mp_ordered_cdf(x, l, n, shape, scale) for x in xs])
+                    assert np.abs(got / want - 1.0).max() <= 1e-12, (l, n, shape, scale)
+
+
+def test_ordered_cdf_and_sf_add_to_one():
+    xs = np.concatenate([[0.0], np.geomspace(1e-6, 100.0, 200)])
+    for n in range(1, 7):
+        for l in range(1, n + 1):
+            for shape in (1, 2, 4, 8):
+                for scale in (0.3, 1.0, 7.0):
+                    args = (l, n, shape, scale)
+                    total = ordered_cdf(xs * scale, *args) + ordered_sf(xs * scale, *args)
+                    assert np.abs(total - 1.0).max() <= 2 * np.spacing(1.0), (l, n, shape, scale)
+
+
+def test_ordered_logpdf_single_user_is_gamma(rng):
+    for shape, scale in [(1, 1.0), (2, 0.5), (4, 2.0), (7, 0.3)]:
+        xs = np.concatenate([rng.uniform(0.01, 8.0, 50), np.geomspace(1e-8, 60.0, 50)]) * scale
+        got = ordered_logpdf(xs, 1, 1, shape, scale)
+        assert np.abs(got - stats.gamma.logpdf(xs, a=shape, scale=scale)).max() <= 1e-12, shape
+    # the exponential law's density at the origin: xlogy keeps 0 * log 0 at 0
+    assert ordered_logpdf(0.0, 1, 1, 1, 2.0) == pytest.approx(-math.log(2.0), abs=1e-15)
+
+
+def test_ordered_logpdf_is_the_cdf_derivative():
+    # central difference with a relative step; where the CDF passes 1/2
+    # the survival's difference takes over, so neither loses digits to 1
+    xs = np.geomspace(0.02, 10.0, 40)
+    h = 1e-5 * xs
+    for n in range(2, 6):
+        for l in range(1, n + 1):
+            for shape in (1, 2, 4):
+                args = (l, n, shape, 0.8)
+                diff = np.where(
+                    ordered_cdf(xs, *args) < 0.5,
+                    ordered_cdf(xs + h, *args) - ordered_cdf(xs - h, *args),
+                    ordered_sf(xs - h, *args) - ordered_sf(xs + h, *args),
+                ) / (2 * h)
+                pdf = np.exp(ordered_logpdf(xs, *args))
+                assert np.abs(pdf / diff - 1.0).max() <= 1e-6, args
+
+
 def test_single_user_reduces_to_gamma():
     xs = np.linspace(0.0, 10.0, 40)
     assert np.allclose(ordered_sf(xs, 1, 1, 3, 0.7), stats.gamma.sf(xs, a=3, scale=0.7), atol=1e-13)
@@ -99,6 +149,7 @@ def test_single_user_reduces_to_gamma():
 def test_ordered_cdf_zero_at_origin():
     for l in (1, 2, 3):
         assert 1.0 - ordered_sf(0.0, l, 3, 2, 1.0) == 0.0
+        assert ordered_cdf(0.0, l, 3, 2, 1.0) == 0.0
 
 
 def test_ordered_against_textbook_oracle(rng):
@@ -126,10 +177,11 @@ def test_stochastic_ordering():
 
 
 def test_order_bounds_rejected():
-    with pytest.raises(ValueError):
-        ordered_sf(1.0, 0, 3, 2, 1.0)
-    with pytest.raises(ValueError):
-        ordered_sf(1.0, 4, 3, 2, 1.0)
+    for law in (ordered_cdf, ordered_sf, ordered_logpdf):
+        with pytest.raises(ValueError):
+            law(1.0, 0, 3, 2, 1.0)
+        with pytest.raises(ValueError):
+            law(1.0, 4, 3, 2, 1.0)
 
 
 def test_extreme_arguments_stay_finite():
