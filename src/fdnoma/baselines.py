@@ -2,8 +2,8 @@
 
 Both baselines reuse the same channel statistics and run Monte Carlo
 only.  Neither has an outage event of its own: each is the system's
-:func:`~fdnoma.sidnr.outage_mask` on a transformed configuration, run
-through the shared engine of :mod:`fdnoma.montecarlo`.
+:func:`~fdnoma.sidnr.outage_mask` on a transformed configuration: a job
+(:func:`hd_job`, :func:`oma_job`) of the shared engine in :mod:`fdnoma.montecarlo`.
 
 * Half-duplex NOMA is the system with the thresholds replaced by
   ``hd_thresholds``, drawn without the loop-interference block
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .config import ConfigError, SystemConfig, _check_real, derive_constants
-from .montecarlo import _estimate
+from .montecarlo import Job, _estimate
 from .sidnr import outage_mask
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
     "hd_thresholds_rate_matched",
     "fd_thresholds_rate_matched",
     "oma_threshold_rate_sum",
+    "hd_job",
+    "oma_job",
     "hd_outage_all",
     "oma_outage_all",
 ]
@@ -99,16 +101,16 @@ class BaselineConfig:
             object.__setattr__(self, "oma_threshold", t)
 
 
-def hd_outage_all(bcfg: BaselineConfig, trials, seed=0, partitions=1, users=None):
-    """Half-duplex NOMA outage for several users from shared draws."""
+def hd_job(bcfg: BaselineConfig, users=None) -> Job:
+    """The half-duplex NOMA system as a Monte Carlo job."""
     if bcfg.mode != "hd_noma":
         raise ConfigError("hd_outage_all requires a hd_noma baseline config")
     dc = derive_constants(replace(bcfg.base, thresholds=bcfg.hd_thresholds))
-    return _estimate(dc, users, trials, seed, partitions, "hd", include_li=False)
+    return Job(dc, users, "hd", include_li=False)
 
 
-def oma_outage_all(bcfg: BaselineConfig, trials, seed=0, partitions=1, users=None):
-    """Full-duplex OMA outage for several users from shared draws."""
+def oma_job(bcfg: BaselineConfig, users=None) -> Job:
+    """The full-duplex OMA system as a Monte Carlo job."""
     if bcfg.mode != "fd_oma":
         raise ConfigError("oma_outage_all requires a fd_oma baseline config")
     base = bcfg.base
@@ -125,6 +127,14 @@ def oma_outage_all(bcfg: BaselineConfig, trials, seed=0, partitions=1, users=Non
     def mask(g1, g2, g3, dc, user):
         return outage_mask(g1, g2[:, user - 1:user], g3, solo[user - 1], 1)
 
-    return _estimate(
-        derive_constants(base), users, trials, seed, partitions, "oma", mask, sort=False
-    )
+    return Job(derive_constants(base), users, "oma", mask, sort=False)
+
+
+def hd_outage_all(bcfg: BaselineConfig, trials, seed=0, partitions=1, users=None):
+    """Half-duplex NOMA outage for several users from shared draws."""
+    return _estimate([hd_job(bcfg, users)], trials, seed, partitions)[0]
+
+
+def oma_outage_all(bcfg: BaselineConfig, trials, seed=0, partitions=1, users=None):
+    """Full-duplex OMA outage for several users from shared draws."""
+    return _estimate([oma_job(bcfg, users)], trials, seed, partitions)[0]

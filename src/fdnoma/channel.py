@@ -10,6 +10,12 @@ summing per-antenna components.  Estimation errors enter only through
 the estimated link powers inside the Gamma scales; the error statistics
 are already marginalized into the SIDNR constants.
 
+:func:`draw_batch` draws a block's unit-scale variates (:func:`draw_units`,
+which depend on the fading shapes only) and scales them to one
+configuration (:func:`gamma_laws`, :func:`scale_users`).  As
+``Generator.gamma(k, s)`` is ``s * standard_gamma(k)`` bit for bit, every
+configuration with the same shapes can share one block's unit draws.
+
 Streams are counter-based (Philox) and keyed by ``(seed, substream)``:
 the same key always reproduces the same draws, and distinct substreams
 are statistically independent, so trial blocks can run in any order or
@@ -22,7 +28,7 @@ import numpy as np
 
 from .config import DerivedConstants
 
-__all__ = ["seeded_stream", "draw_batch"]
+__all__ = ["seeded_stream", "draw_batch", "draw_units", "gamma_laws", "scale_users"]
 
 
 def seeded_stream(seed: int, substream: int = 0) -> np.random.Generator:
@@ -37,6 +43,34 @@ def seeded_stream(seed: int, substream: int = 0) -> np.random.Generator:
         raise ValueError("substream must fit in an unsigned 64-bit integer")
     key = np.array([int(seed), int(substream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def gamma_laws(dc: DerivedConstants):
+    """Gamma shapes and scales of the links of ``dc``, each a triple
+    (first hop, per-user tuple, loop interference)."""
+    cfg = dc.cfg
+    shapes = cfg.m_sr * cfg.tx_antennas, tuple(m * cfg.rx_antennas for m in cfg.m_ru), cfg.m_li
+    ru = tuple(p / m for p, m in zip(dc.power_ru_est, cfg.m_ru))
+    return shapes, (dc.power_sr_est / cfg.m_sr, ru, dc.power_li / cfg.m_li)
+
+
+def draw_units(shapes, rng: np.random.Generator, size: int, include_li: bool = True):
+    """One block's unit-scale variates (first hop, users[size, L], loop
+    interference or None), in the stream layout contract order."""
+    k1, k2, k3 = shapes
+    unit_sr = rng.standard_gamma(k1, size)
+    units_ru = np.empty((size, len(k2)))
+    for i, k in enumerate(k2):
+        units_ru[:, i] = rng.standard_gamma(k, size)
+    return unit_sr, units_ru, (rng.standard_gamma(k3, size) if include_li else None)
+
+
+def scale_users(units_ru: np.ndarray, scales, sort: bool = True) -> np.ndarray:
+    """User gains: unit variates scaled per column, then sorted per row."""
+    gains_ru = units_ru * np.array(scales)
+    if sort:
+        gains_ru.sort(axis=1)
+    return gains_ru
 
 
 def draw_batch(
@@ -56,17 +90,6 @@ def draw_batch(
     own channel; used by the orthogonal-access baseline, which has no
     ordering-based power allocation).
     """
-    cfg = dc.cfg
-    gain_sr = rng.gamma(cfg.m_sr * cfg.tx_antennas, dc.power_sr_est / cfg.m_sr, size)
-    gains_ru = np.empty((size, cfg.num_users))
-    for i in range(cfg.num_users):
-        m = cfg.m_ru[i]
-        gains_ru[:, i] = rng.gamma(m * cfg.rx_antennas, dc.power_ru_est[i] / m, size)
-    if sort:
-        gains_ru.sort(axis=1)
-    if include_li:
-        gain_li = rng.gamma(cfg.m_li, dc.power_li / cfg.m_li, size)
-    else:
-        gain_li = 0.0
-    return gain_sr, gains_ru, gain_li
-
+    shapes, (s1, s2, s3) = gamma_laws(dc)
+    unit_sr, units_ru, unit_li = draw_units(shapes, rng, size, include_li)
+    return s1 * unit_sr, scale_users(units_ru, s2, sort), (s3 * unit_li if include_li else 0.0)

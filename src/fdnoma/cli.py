@@ -2,10 +2,10 @@
 
 A sweep evaluates the requested outage methods over an inclusive grid of
 one swept variable and writes one self-describing CSV: a commented
-metadata preamble (tool version, config hash, seed), then one row per
-grid point with one column per (user, method), Monte Carlo standard
-error columns and a per-user feasibility flag.  Re-running the same
-invocation reproduces the file byte for byte.
+metadata preamble (tool, numpy and scipy versions, config hash, seed),
+then one row per grid point with one column per (user, method), Monte
+Carlo standard error columns and a per-user feasibility flag.  Re-running
+the same invocation reproduces the file byte for byte.
 
 Exit codes: 0 success, 1 configuration or usage error (an ``--out`` that
 cannot be written included), 2 numeric failure, 3 invariant violation
@@ -23,10 +23,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .analytic import NumericsError, op_asymptotic, op_exact, op_lower_bound
-from .baselines import BaselineConfig, hd_outage_all, oma_outage_all
+from .baselines import BaselineConfig, hd_job, oma_job
 from .config import (
     ConfigError,
     SystemConfig,
@@ -35,7 +36,7 @@ from .config import (
     load_config,
     load_config_extras,
 )
-from .montecarlo import estimate_all_users
+from .montecarlo import Job, _estimate
 
 __all__ = ["SweepSpec", "run_sweep", "validate_config", "main"]
 
@@ -103,28 +104,10 @@ def _apply_variable(cfg: SystemConfig, variable: str, value: float) -> SystemCon
     return replace(cfg, d_sr=float(value), d_ru=1.0 - float(value))
 
 
-def _point_row(cfg_pt, spec, asymp_reports, extras) -> dict:
-    """One grid point's values, keyed by CSV column name."""
+def _analytic_cells(cfg_pt, spec, asymp_reports) -> dict:
+    """One grid point's analytic values and feasibility flags, by CSV column."""
     dc = derive_constants(cfg_pt)
     cells = {}
-    if "mc" in spec.methods:
-        for est in estimate_all_users(
-            cfg_pt, spec.trials, spec.seed, spec.partitions, users=spec.users
-        ):
-            cells[f"user{est.user}_mc"] = est.op_value
-            cells[f"user{est.user}_mc_stderr"] = est.std_error
-    if "hd" in spec.methods:
-        bcfg = BaselineConfig(
-            base=cfg_pt, mode="hd_noma", hd_thresholds=extras.get("hd_thresholds")
-        )
-        for est in hd_outage_all(bcfg, spec.trials, spec.seed, spec.partitions, spec.users):
-            cells[f"user{est.user}_hd"] = est.op_value
-    if "oma" in spec.methods:
-        bcfg = BaselineConfig(
-            base=cfg_pt, mode="fd_oma", oma_threshold=extras.get("oma_threshold")
-        )
-        for est in oma_outage_all(bcfg, spec.trials, spec.seed, spec.partitions, spec.users):
-            cells[f"user{est.user}_oma"] = est.op_value
     for u in spec.users:
         if "exact" in spec.methods:
             cells[f"user{u}_exact"] = op_exact(cfg_pt, u)
@@ -141,14 +124,24 @@ def run_sweep(config_path, spec: SweepSpec, out_path) -> None:
     """Evaluate the sweep and write the CSV artifact, unless a
     cross-method invariant fails (then nothing is written).
 
-    Grid points are independent and dispatched to a small thread pool;
-    rows are gathered back in grid order, so output is deterministic.
+    Monte Carlo jobs are built (and validated) first, then the analytic
+    cells, one grid point per worker of a small thread pool, so a numeric
+    failure ends the sweep before any Monte Carlo time is spent.  One
+    engine call runs every job, drawing each block once for the sweep.
     """
     cfg, extras = load_config_extras(config_path)
     for u in spec.users:
         if not 1 <= u <= cfg.num_users:
             raise ConfigError(f"user {u} outside 1..{cfg.num_users}")
     values = spec.grid()
+    points = [_apply_variable(cfg, spec.variable, v) for v in values]
+    hd_thr, oma_thr = extras.get("hd_thresholds"), extras.get("oma_threshold")
+    builders = {
+        "mc": lambda c: Job(derive_constants(c), spec.users, "mc"),
+        "hd": lambda c: hd_job(BaselineConfig(c, "hd_noma", hd_thresholds=hd_thr), spec.users),
+        "oma": lambda c: oma_job(BaselineConfig(c, "fd_oma", oma_threshold=oma_thr), spec.users),
+    }
+    jobs = [(i, builders[m](c)) for i, c in enumerate(points) for m in spec.methods if m in builders]
 
     # The asymptotic report is SNR-free, so along an SNR sweep one report
     # per user serves every grid point.
@@ -156,22 +149,8 @@ def run_sweep(config_path, spec: SweepSpec, out_path) -> None:
     if "asymp" in spec.methods and spec.variable == "snr_db":
         asymp_reports = {u: op_asymptotic(cfg, u) for u in spec.users}
 
-    points = [_apply_variable(cfg, spec.variable, v) for v in values]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        all_cells = list(
-            pool.map(lambda c: _point_row(c, spec, asymp_reports, extras), points)
-        )
-
-    meta = {
-        "tool": f"fdnoma {__version__}",
-        "config_hash": config_hash(cfg),
-        "sweep": f"{spec.variable}={spec.start:g}:{spec.stop:g}:{spec.step:g}",
-        "methods": ",".join(spec.methods),
-        "users": ",".join(str(u) for u in spec.users),
-        "trials": str(spec.trials),
-        "seed": str(spec.seed),
-        "partitions": str(spec.partitions),
-    }
+        all_cells = list(pool.map(lambda c: _analytic_cells(c, spec, asymp_reports), points))
     if "exact" in spec.methods and "lb" in spec.methods:
         for v, cells in zip(values, all_cells):
             for u in spec.users:
@@ -182,6 +161,26 @@ def run_sweep(config_path, spec: SweepSpec, out_path) -> None:
                         f"for user {u} at {spec.variable}={v:g}"
                     )
 
+    if jobs:
+        results = _estimate([job for _, job in jobs], spec.trials, spec.seed, spec.partitions)
+        for (i, _), ests in zip(jobs, results):
+            for est in ests:
+                all_cells[i][f"user{est.user}_{est.method}"] = est.op_value
+                if est.method == "mc":
+                    all_cells[i][f"user{est.user}_mc_stderr"] = est.std_error
+
+    meta = {
+        "tool": f"fdnoma {__version__}",
+        "numpy": np.__version__,  # the Philox and Gamma streams depend on it
+        "scipy": scipy.__version__,
+        "config_hash": config_hash(cfg),
+        "sweep": f"{spec.variable}={spec.start:g}:{spec.stop:g}:{spec.step:g}",
+        "methods": ",".join(spec.methods),
+        "users": ",".join(str(u) for u in spec.users),
+        "trials": str(spec.trials),
+        "seed": str(spec.seed),
+        "partitions": str(spec.partitions),
+    }
     # per user: one column per method (Monte Carlo followed by its
     # standard error), then the feasibility flag
     names = [n for m in spec.methods for n in ((m, "mc_stderr") if m == "mc" else (m,))]

@@ -9,23 +9,28 @@ argument controls scheduling concurrency and can never change a result.
 One private engine, :func:`_estimate`, runs every Monte Carlo figure:
 the full-duplex NOMA system here and both comparison systems in
 :mod:`fdnoma.baselines`, which differ only in the derived constants,
-the draw options and the per-user mask they pass in.
+the draw options and the per-user mask of their :class:`Job`.  One call
+serves a whole sweep (every grid point and method) from one stream: each
+block's unit Gamma draws are made once and scaled to every job, which
+gives each job the counts of a separate run, bit for bit.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .channel import draw_batch, seeded_stream
-from .config import SystemConfig, derive_constants
+from .channel import draw_units, gamma_laws, scale_users, seeded_stream
+from .config import DerivedConstants, SystemConfig, derive_constants
 from .sidnr import outage_mask
 
-__all__ = ["BLOCK_TRIALS", "OutageEstimate", "estimate", "estimate_all_users"]
+__all__ = ["BLOCK_TRIALS", "Job", "OutageEstimate", "estimate", "estimate_all_users"]
 
 BLOCK_TRIALS = 1 << 18  # trials per substream block; fixed by contract
+CHUNK_ROWS = 1 << 15  # rows scaled and masked at a time; results do not depend on it
 
 
 @dataclass(frozen=True)
@@ -46,68 +51,71 @@ class OutageEstimate:
     partitions: int | None = None
 
 
-def _blocks(trials: int):
+def _run_blocks(kernel, trials: int, partitions: int) -> np.ndarray:
+    """Sum integer outage counts over all blocks, on ``partitions`` threads."""
     full, rest = divmod(trials, BLOCK_TRIALS)
-    sizes = [BLOCK_TRIALS] * full + ([rest] if rest else [])
-    return list(enumerate(sizes))
+    blocks = enumerate([BLOCK_TRIALS] * full + ([rest] if rest else []))
+    with ThreadPoolExecutor(max_workers=min(partitions, 16)) as pool:
+        return sum(pool.map(kernel, blocks))
 
 
-def _run_blocks(kernel, trials: int, partitions: int, n_out: int) -> np.ndarray:
-    """Sum integer outage counts over all blocks, optionally threaded."""
-    blocks = _blocks(trials)
-    counts = np.zeros(n_out, dtype=np.int64)
-    if partitions > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=min(partitions, 16)) as pool:
-            for c in pool.map(kernel, blocks):
-                counts += c
-    else:
-        for blk in blocks:
-            counts += kernel(blk)
-    return counts
+@dataclass(frozen=True)
+class Job:
+    """One Monte Carlo figure: ``mask(g1, g2, g3, dc, user)`` marks the
+    outages of ``users`` (default all) among draws scaled to ``dc``."""
+
+    dc: DerivedConstants
+    users: tuple[int, ...] | None
+    method: str
+    mask: Callable = outage_mask
+    include_li: bool = True
+    sort: bool = True
+
+    def __post_init__(self):
+        num_users = self.dc.cfg.num_users
+        users = range(1, num_users + 1) if self.users is None else self.users
+        users = tuple(int(u) for u in users)
+        if not users:
+            raise ValueError("users must not be empty")
+        for u in users:
+            if not 1 <= u <= num_users:
+                raise ValueError(f"user {u} outside 1..{num_users}")
+        object.__setattr__(self, "users", users)
 
 
-def _estimate(dc, users, trials, seed, partitions, method, mask=outage_mask, **draw_opts):
-    """Per-user outage estimates from one shared stream of realizations.
-
-    Block ``b`` draws ``draw_batch(dc, seeded_stream(seed, b), size,
-    **draw_opts)``; ``mask(g1, g2, g3, dc, user)`` marks the outages of
-    ``user`` among them.  ``users`` defaults to every user of ``dc``.
-    """
+def _estimate(jobs: list[Job], trials, seed, partitions) -> list[list[OutageEstimate]]:
+    """Per-job lists of per-user estimates: block ``b`` is drawn once, from
+    ``seeded_stream(seed, b)``, and scaled to each job's constants."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if partitions < 1:
         raise ValueError("partitions must be >= 1")
-    num_users = dc.cfg.num_users
-    if users is None:
-        users = tuple(range(1, num_users + 1))
-    users = tuple(int(u) for u in users)
-    if not users:
-        raise ValueError("users must not be empty")
-    for u in users:
-        if not 1 <= u <= num_users:
-            raise ValueError(f"user {u} outside 1..{num_users}")
+    laws = [gamma_laws(job.dc) for job in jobs]
+    if len({shape for shape, _ in laws}) != 1:
+        raise ValueError(f"jobs must share one set of fading shapes, got {[s for s, _ in laws]}")
+    shapes, include_li = laws[0][0], any(job.include_li for job in jobs)
+    groups = {}  # jobs whose user gains scale and sort alike share one gain matrix
+    for i, (job, (_, scales)) in enumerate(zip(jobs, laws)):
+        groups.setdefault((scales[1], job.sort), []).append(i)
 
     def kernel(block):
         index, size = block
-        g1, g2, g3 = draw_batch(dc, seeded_stream(seed, index), size, **draw_opts)
-        return np.array([int(mask(g1, g2, g3, dc, u).sum()) for u in users], dtype=np.int64)
+        units = draw_units(shapes, seeded_stream(seed, index), size, include_li)
+        counts = [np.zeros(len(job.users), dtype=np.int64) for job in jobs]
+        for lo in range(0, size, CHUNK_ROWS):  # row chunks bound the scaled copies
+            unit_sr, units_ru, unit_li = (u if u is None else u[lo:lo + CHUNK_ROWS] for u in units)
+            for (scales_ru, sort), members in groups.items():
+                g2 = scale_users(units_ru, scales_ru, sort)
+                for i in members:
+                    job, (s1, _, s3) = jobs[i], laws[i][1]
+                    g1, g3 = s1 * unit_sr, (s3 * unit_li if job.include_li else 0.0)
+                    counts[i] += [np.count_nonzero(job.mask(g1, g2, g3, job.dc, u)) for u in job.users]
+        return np.concatenate(counts)
 
-    counts = _run_blocks(kernel, trials, partitions, len(users))
-    out = []
-    for u, k in zip(users, counts):
-        p = k / trials
-        out.append(
-            OutageEstimate(
-                op_value=float(p),
-                trials=trials,
-                std_error=float(np.sqrt(p * (1.0 - p) / trials)),
-                method=method,
-                user=u,
-                seed=seed,
-                partitions=partitions,
-            )
-        )
-    return out
+    p = _run_blocks(kernel, trials, partitions) / trials
+    cells = iter(zip(p.tolist(), np.sqrt(p * (1.0 - p) / trials).tolist()))
+    return [[OutageEstimate(v, trials, se, job.method, u, seed, partitions)
+             for u, (v, se) in zip(job.users, cells)] for job in jobs]
 
 
 def estimate_all_users(
@@ -123,7 +131,7 @@ def estimate_all_users(
     user's indicator on it, which both halves the runtime and correlates
     the per-user curves (smoother comparisons at equal seeds).
     """
-    return _estimate(derive_constants(cfg), users, trials, seed, partitions, "mc")
+    return _estimate([Job(derive_constants(cfg), users, "mc")], trials, seed, partitions)[0]
 
 
 def estimate(

@@ -25,18 +25,17 @@ from .config import DerivedConstants
 __all__ = ["outage_mask"]
 
 
-def _stage_ratio(g1, g2, g3, dc: DerivedConstants, user: int, stage: int):
-    cfg = dc.cfg
+def _stage_ratios(g1, g2, g3, dc: DerivedConstants, user: int):
+    """``(num, den)`` of stages 1..user as ``x * a_j`` and ``(x * D_j + A) + B``:
+    the stage-invariant parts are formed once, and every value rounds as
+    the formula above does (same operations, same order)."""
     g = dc.snr_lin
-    j = stage - 1
     t2 = dc.noise_ru[user - 1]
-    num = g1 * g2 * g * g * cfg.power_coeffs[j]
-    den = (
-        g1 * g2 * g * g * (dc.iui[j] + dc.ipsic[j] + dc.rhi_mix)
-        + g1 * g * t2 * dc.rhi_amp
-        + (g2 * g + t2) * (g3 * g * dc.sr_derate + dc.noise_sr) * dc.rhi_amp
-    )
-    return num, den
+    x = g1 * g2 * g * g
+    a = g1 * g * t2 * dc.rhi_amp
+    b = (g2 * g + t2) * (g3 * g * dc.sr_derate + dc.noise_sr) * dc.rhi_amp
+    for j in range(user):
+        yield x * dc.cfg.power_coeffs[j], x * (dc.iui[j] + dc.ipsic[j] + dc.rhi_mix) + a + b
 
 
 def outage_mask(
@@ -58,7 +57,6 @@ def outage_mask(
         raise ValueError(f"user must lie in 1..{dc.cfg.num_users}")
     g2 = gains_ru_sorted[:, user - 1]
     out = np.zeros(gain_sr.shape, dtype=bool)
-    for stage in range(1, user + 1):
-        num, den = _stage_ratio(gain_sr, g2, gain_li, dc, user, stage)
-        out |= num <= dc.cfg.thresholds[stage - 1] * den
+    for thr, (num, den) in zip(dc.cfg.thresholds, _stage_ratios(gain_sr, g2, gain_li, dc, user)):
+        out |= num <= thr * den
     return out

@@ -21,6 +21,20 @@ def test_different_seed_or_substream_differs(ideal_cfg):
     assert not np.array_equal(base, draw_batch(dc, seeded_stream(1, 1), 10)[0])
 
 
+@pytest.mark.parametrize("shape", [1, 2, 3, 4, 6, 2.5])
+def test_gamma_is_scaled_standard_gamma(shape):
+    # draw_batch scales unit draws instead of calling rng.gamma, and one
+    # unit draw serves every configuration of a sweep; both rely on this
+    # identity of numpy's Gamma sampler, bit for bit, stream included
+    for scale in (0.37, 1 / 3, 2.0e-3, 5.5):
+        a, b = seeded_stream(9, 1), seeded_stream(9, 1)
+        x = a.gamma(shape, scale, 20_000)
+        y = scale * b.standard_gamma(shape, 20_000)
+        assert x.tobytes() == y.tobytes()
+        assert a.gamma(shape, scale, 100).tobytes() == (scale * b.standard_gamma(shape, 100)).tobytes()
+        assert a.random(100).tobytes() == b.random(100).tobytes()
+
+
 def test_seed_bounds():
     with pytest.raises(ValueError):
         seeded_stream(-1)

@@ -1,7 +1,9 @@
 import json
 import os
 
+import numpy as np
 import pytest
+import scipy
 
 from fdnoma import default_config
 from fdnoma.cli import SweepSpec, main, run_sweep, validate_config
@@ -163,6 +165,9 @@ def test_meta_header_contents(cfg_file, tmp_path):
     run_sweep(cfg_file, spec, out)
     text = out.read_text()
     assert "# tool: fdnoma" in text
+    # the Monte Carlo streams depend on these versions
+    assert f"\n# numpy: {np.__version__}\n" in text
+    assert f"\n# scipy: {scipy.__version__}\n" in text
     assert "# config_hash:" in text
     assert "# seed: 11" in text
 
@@ -346,3 +351,99 @@ def test_validate_checks_baseline_keys(tmp_path, capsys, key, value, message):
     assert main([*argv, "--out", str(out)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _exact_cells(path):
+    header, rows = read_rows(path)
+    return [dict(zip(header, (float(v) for v in r))) for r in rows]
+
+
+@pytest.mark.parametrize("sweep", ["snr_db=5:25:10", "mu=0:1:0.5", "kappa=0:0.1:0.05", "d_sr=0.3:0.5:0.1"])
+def test_sweep_mc_cells_equal_separate_engine_calls(tmp_path, monkeypatch, sweep):
+    # the sweep draws each block once for every point and method; its cells
+    # must still be the exact floats of one engine call per point and method
+    import fdnoma.cli as cli_mod
+    from fdnoma import BaselineConfig, estimate_all_users, hd_outage_all, oma_outage_all
+    from fdnoma.montecarlo import BLOCK_TRIALS
+
+    monkeypatch.setattr(
+        cli_mod, "_fmt", lambda v: str(v) if isinstance(v, int) else repr(float(v))
+    )
+    cfg = default_config(
+        tx_antennas=2, rx_antennas=2, li_quality_mu=0.3, kappa_sr=0.05, kappa_ru=0.05,
+        m_ru=(1, 2, 1), d_ru=(0.4, 0.5, 0.6),
+    )
+    d = config_to_dict(cfg)
+    d["hd_thresholds"] = [0.8, 1.2, 1.9]
+    d["oma_threshold"] = 4.0
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(d))
+    variable, rest = sweep.split("=")
+    start, stop, step = (float(v) for v in rest.split(":"))
+    trials, seed = BLOCK_TRIALS + 1000, 19  # the second block is a remainder block
+    users = (1, 2, 3)
+
+    grid = SweepSpec(variable, start, stop, step, ("mc",), users).grid()
+    assert len(grid) == 3
+    expected = []
+    for v in grid:
+        pt = cli_mod._apply_variable(cfg, variable, v)
+        row = {}
+        for e in estimate_all_users(pt, trials, seed, 1, users):
+            row[f"user{e.user}_mc"], row[f"user{e.user}_mc_stderr"] = e.op_value, e.std_error
+        hd = BaselineConfig(base=pt, mode="hd_noma", hd_thresholds=d["hd_thresholds"])
+        for e in hd_outage_all(hd, trials, seed, 1, users):
+            row[f"user{e.user}_hd"] = e.op_value
+        oma = BaselineConfig(base=pt, mode="fd_oma", oma_threshold=d["oma_threshold"])
+        for e in oma_outage_all(oma, trials, seed, 1, users):
+            row[f"user{e.user}_oma"] = e.op_value
+        expected.append(row)
+    assert any(0.0 < x < 1.0 for row in expected for x in row.values())
+
+    for partitions in (1, 3):
+        out = tmp_path / f"p{partitions}.csv"
+        spec = SweepSpec(variable, start, stop, step, ("mc", "hd", "oma"), users,
+                         trials=trials, seed=seed, partitions=partitions)
+        run_sweep(p, spec, out)
+        rows = _exact_cells(out)
+        assert [{k: r[k] for k in want} for r, want in zip(rows, expected)] == expected
+
+
+def test_sweep_draws_each_block_once(cfg_file, tmp_path, monkeypatch):
+    # 7 points x (mc, hd, oma) over 2 blocks: one stream per block, not 42
+    from fdnoma import montecarlo
+    from fdnoma.montecarlo import BLOCK_TRIALS
+
+    calls = []
+    real = montecarlo.seeded_stream
+
+    def counting(seed, substream=0):
+        calls.append(substream)
+        return real(seed, substream)
+
+    monkeypatch.setattr(montecarlo, "seeded_stream", counting)
+    spec = SweepSpec("snr_db", 0.0, 30.0, 5.0, ("mc", "hd", "oma"), (1, 2, 3),
+                     trials=2 * BLOCK_TRIALS, seed=5, partitions=2)
+    run_sweep(cfg_file, spec, tmp_path / "s.csv")
+    assert sorted(calls) == [0, 1]
+
+
+def test_numeric_failure_spends_no_monte_carlo_time(tmp_path, capsys, monkeypatch):
+    # the analytic cells come first: a sweep that ends in a numeric failure
+    # exits 2 without ever calling the Monte Carlo engine
+    import fdnoma.cli as cli_mod
+
+    calls = []
+    monkeypatch.setattr(cli_mod, "_estimate", lambda *a, **k: calls.append(a) or [])
+    cfg = default_config(tx_antennas=3, rx_antennas=2, m_sr=2)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config_to_dict(cfg)))
+    out = tmp_path / "deep.csv"
+    rc = main([
+        "--config", str(p), "--sweep", "snr_db=0:36:4", "--methods", "exact,mc",
+        "--out", str(out),
+    ])
+    assert rc == 2
+    assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fdnoma import default_config, estimate, estimate_all_users, op_exact
+from fdnoma import default_config, derive_constants, estimate, estimate_all_users, op_exact
+from fdnoma.montecarlo import Job, _estimate
 
 
 def test_determinism_across_partition_counts(ideal_cfg):
@@ -38,6 +41,16 @@ def test_trials_and_users_validation(ideal_cfg):
         estimate_all_users(ideal_cfg, trials=10, users=(4,))
     with pytest.raises(ValueError):
         estimate_all_users(ideal_cfg, trials=10, partitions=0)
+
+
+def test_jobs_must_share_fading_shapes(ideal_cfg):
+    # one stream of unit draws can serve only jobs with the same Gamma shapes
+    a = Job(derive_constants(ideal_cfg), None, "mc")
+    b = Job(derive_constants(replace(ideal_cfg, m_sr=2)), None, "mc")
+    with pytest.raises(ValueError, match="fading shapes"):
+        _estimate([a, b], 10, 0, 1)
+    with pytest.raises(ValueError, match="fading shapes"):
+        _estimate([], 10, 0, 1)
 
 
 def test_infeasible_user_hits_one_exactly():

@@ -5,11 +5,12 @@ import pytest
 
 from fdnoma import default_config, derive_constants
 from fdnoma.channel import draw_batch, seeded_stream
-from fdnoma.sidnr import _stage_ratio, outage_mask
+from fdnoma.sidnr import _stage_ratios, outage_mask
 
 
 def ratio(g1, g2, g3, dc, user, stage):
-    num, den = _stage_ratio(np.asarray(g1, float), np.asarray(g2, float), g3, dc, user, stage)
+    stages = _stage_ratios(np.asarray(g1, float), np.asarray(g2, float), g3, dc, user)
+    num, den = list(stages)[stage - 1]
     return num / den
 
 
@@ -21,7 +22,7 @@ def region_mask(g1, g2, g3, dc, user):
              * demand_peak / (snr * (g2 - noise_ru*rhi_amp*demand_peak))
 
     Algebraically identical to thresholding every stage ratio, and kept
-    independent of ``_stage_ratio`` as a reference for ``outage_mask``.
+    independent of ``_stage_ratios`` as a reference for ``outage_mask``.
     An infeasible user has ``demand_peak = inf``, so the first clause
     marks every draw.
     """
