@@ -25,6 +25,14 @@ Four routes to the same quantity, used to cross-validate each other:
   interference (full cancellation quality lost) or channel estimation
   errors dominate.
 
+All four read one private view of user l's problem (:class:`_User`, from
+:func:`_user_view`): the three Gamma links of
+:func:`~fdnoma.config.gamma_laws` (MRT first hop, one ordered MRC user
+gain, loop interference), the user's SIDNR constants and the outage
+floor ``c`` of the ordered gain.  An infeasible user has no view (its
+outage is 1); the closed forms need i.i.d. user gains, so unequal user
+statistics raise :class:`~fdnoma.config.ConfigError`.
+
 The alternating sums are accumulated with exact compensated summation
 (``math.fsum``) after scaling by the largest term, and the evaluation
 reports catastrophic cancellation instead of returning digits it cannot
@@ -36,16 +44,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammainc
 
-from .config import (
-    DerivedConstants,
-    SystemConfig,
-    derive_constants,
-    uniform_ru,
-)
+from .config import ConfigError, DerivedConstants, SystemConfig, derive_constants, gamma_laws
 from .specfun import multinomial_coeffs, order_weights, ordered_cdf, ordered_logpdf, ordered_sf
 
 __all__ = [
@@ -69,9 +73,47 @@ class NumericsError(RuntimeError):
     """Quadrature non-convergence or catastrophic cancellation."""
 
 
-def _check_user(dc: DerivedConstants, user: int):
-    if not 1 <= user <= dc.cfg.num_users:
-        raise ValueError(f"user must lie in 1..{dc.cfg.num_users}")
+class _User(NamedTuple):
+    """User ``l`` of ``L``: link shapes ``k*`` and scales ``s*`` (first hop,
+    user gain, loop interference), the linear SNR ``g``, the SIDNR
+    constants ``t2`` (user noise), ``t3`` (distortion amplification),
+    ``t4`` (loop-interference de-rating), ``t5`` (relay noise) and the
+    peak demand ``dmax``."""
+
+    l: int
+    L: int
+    k1: int
+    k2: int
+    k3: int
+    s1: float
+    s2: float
+    s3: float
+    g: float
+    t2: float
+    t3: float
+    t4: float
+    t5: float
+    dmax: float
+
+    @property
+    def c(self) -> float:
+        return self.t2 * self.t3 * self.dmax
+
+
+def _user_view(dc: DerivedConstants, user: int) -> _User | None:
+    """The view of ``user``, or None when a decode stage of it is infeasible."""
+    L = dc.cfg.num_users
+    if not 1 <= user <= L:
+        raise ValueError(f"user must lie in 1..{L}")
+    if not dc.feasible[user - 1]:
+        return None
+    (k1, k2, k3), (s1, s2, s3) = gamma_laws(dc)
+    if len(set(k2)) > 1 or len(set(s2)) > 1:
+        raise ConfigError("analytic outage requires identical fading shape and distance for all users")
+    return _User(
+        user, L, k1, k2[0], k3, s1, s2[0], s3, dc.snr_lin, float(dc.noise_ru[user - 1]),
+        dc.rhi_amp, dc.sr_derate, dc.noise_sr, float(dc.demand_peak[user - 1]),
+    )
 
 
 # -- tail integral ----------------------------------------------------------
@@ -232,36 +274,25 @@ def _log_comb(a: int, b: int) -> float:
     return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
 
 
-def _success_probability(dc: DerivedConstants, user: int):
+def _success_probability(view: _User):
     """Complement of the outage: the alternating finite sum, returned as
     (value, largest term magnitude)."""
-    cfg = dc.cfg
-    l, L = user, cfg.num_users
-    m_ru, power_ru_est = uniform_ru(dc)
-    k1 = cfg.m_sr * cfg.tx_antennas
-    k2 = m_ru * cfg.rx_antennas
-    g = dc.snr_lin
-    t2 = float(dc.noise_ru[l - 1])
-    t3, t4, t5 = dc.rhi_amp, dc.sr_derate, dc.noise_sr
-    dmax = float(dc.demand_peak[l - 1])
-
-    beta = m_ru / power_ru_est
-    alpha1 = cfg.m_sr / dc.power_sr_est
-    rho = cfg.m_li / dc.power_li
-    c = t2 * t3 * dmax                   # ordered-gain floor of the outage region
+    l, L, k1, k2, k3, s1, s2, s3, g, t2, t3, t4, t5, dmax = view
+    beta, alpha1, rho = 1.0 / s2, 1.0 / s1, 1.0 / s3
+    c = view.c                           # ordered-gain floor of the outage region
     e_big = t3 * t5 * dmax * alpha1      # first-hop exponential weight
     u = c + t2 / g
     q = e_big * u                        # exp(-q/x) weight inside the tail integral
     g_d = g * t3 * t4 * dmax * alpha1    # loop-interference coupling
     shift = g_d * u / (g_d + rho)
 
-    tab = _term_table(k1, k2, L, l, cfg.m_li)
+    tab = _term_table(k1, k2, L, l, k3)
     log_c, log_u = math.log(c), math.log(u)
     log_beta = math.log(beta)
     log_g45 = math.log(g * t4 / t5)
     log_e = math.log(e_big)
     log_gd_rho = math.log(g_d + rho)
-    scalar = cfg.m_li * math.log(rho) - e_big
+    scalar = k3 * math.log(rho) - e_big
 
     p, r, mm = tab["uniq"].T
     log_t = _log_tail_weights(p, beta * (r + 1), q, shift, mm)
@@ -287,12 +318,11 @@ def _success_probability(dc: DerivedConstants, user: int):
     return peak * scaled, peak
 
 
-def _op_exact(dc: DerivedConstants, user: int) -> float:
-    """Exact outage probability from precomputed constants."""
-    _check_user(dc, user)
-    if not dc.feasible[user - 1]:
+def _op_exact(view: _User | None) -> float:
+    """Exact outage probability of one user view (1 for None)."""
+    if view is None:
         return 1.0
-    success, peak = _success_probability(dc, user)
+    success, peak = _success_probability(view)
     op = 1.0 - success
     if success > 1.001:
         raise NumericsError(f"success probability evaluated to {success!r}")
@@ -313,7 +343,7 @@ def op_exact(cfg: SystemConfig, user: int) -> float:
 
     Returns 1 outright when any decode stage of ``user`` is infeasible.
     """
-    return _op_exact(derive_constants(cfg), user)
+    return _op_exact(_user_view(derive_constants(cfg), user))
 
 
 # -- 2-D log-axis oracle ----------------------------------------------------
@@ -358,24 +388,11 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
     raises :class:`NumericsError`.  No part of the closed form's
     expansion is shared.
     """
-    dc = derive_constants(cfg)
-    _check_user(dc, user)
-    if not dc.feasible[user - 1]:
+    view = _user_view(derive_constants(cfg), user)
+    if view is None:
         return 1.0
-    cfgc = dc.cfg
-    l, L = user, cfgc.num_users
-    m_ru, power_ru_est = uniform_ru(dc)
-    k1 = cfgc.m_sr * cfgc.tx_antennas
-    k2 = m_ru * cfgc.rx_antennas
-    m_li = cfgc.m_li
-    scale1 = dc.power_sr_est / cfgc.m_sr
-    scale2 = power_ru_est / m_ru
-    scale3 = dc.power_li / m_li
-    g = dc.snr_lin
-    t2 = float(dc.noise_ru[l - 1])
-    t3, t4, t5 = dc.rhi_amp, dc.sr_derate, dc.noise_sr
-    dmax = float(dc.demand_peak[l - 1])
-    c = t2 * t3 * dmax
+    l, L, k1, k2, k3, scale1, scale2, scale3, g, t2, t3, t4, t5, dmax = view
+    c = view.c
 
     head = ordered_cdf(c, l, L, k2, scale2)
 
@@ -390,7 +407,7 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
 
     def cols(b):
         z = np.exp(b)
-        return b + ordered_logpdf(z, 1, 1, m_li, scale3), np.log(z * g * t4 + t5)
+        return b + ordered_logpdf(z, 1, 1, k3, scale3), np.log(z * g * t4 + t5)
 
     def phi(row, col):
         """log of the body's integrand in (a, b), rows by columns."""
@@ -449,34 +466,24 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
 
 # -- closed-form lower bound ------------------------------------------------
 
-def _relay_ratio_sf(x, dc: DerivedConstants):
-    """Survival of W = snr*g1 / (snr*g3 + noise_sr/sr_derate), closed form.
+def _relay_ratio_sf(x, view: _User, v: float):
+    """Survival of W = g1 / (g3 + v) at ``x``, closed form, for the first-hop
+    and loop-interference laws of ``view`` and the relay noise share ``v``.
 
     All terms are positive, so plain summation is stable.
     """
-    cfg = dc.cfg
-    k1 = cfg.m_sr * cfg.tx_antennas
-    alpha1 = cfg.m_sr / dc.power_sr_est
-    rho = cfg.m_li / dc.power_li
-    v = dc.noise_sr / (dc.snr_lin * dc.sr_derate)
+    k1, k3, alpha1, rho = view.k1, view.k3, 1.0 / view.s1, 1.0 / view.s3
     if x <= 0.0:
         return 1.0
     lead = math.exp(-x * v * alpha1) if x * v * alpha1 < 745 else 0.0
     if lead == 0.0:
         return 0.0
-    terms = []
-    for n in range(k1):
-        for n2 in range(n + 1):
-            terms.append(
-                math.comb(n, n2)
-                * rho ** cfg.m_li
-                * alpha1 ** n
-                * math.exp(math.lgamma(n2 + cfg.m_li) - math.lgamma(n + 1) - math.lgamma(cfg.m_li))
-                * v ** (n - n2)
-                * x ** n
-                * (x * alpha1 + rho) ** (-(n2 + cfg.m_li))
-            )
-    return lead * math.fsum(terms)
+    return lead * math.fsum(
+        math.comb(n, n2) * rho ** k3 * alpha1 ** n
+        * math.exp(math.lgamma(n2 + k3) - math.lgamma(n + 1) - math.lgamma(k3))
+        * v ** (n - n2) * x ** n * (x * alpha1 + rho) ** (-(n2 + k3))
+        for n in range(k1) for n2 in range(n + 1)
+    )
 
 
 def op_lower_bound(cfg: SystemConfig, user: int) -> float:
@@ -486,19 +493,12 @@ def op_lower_bound(cfg: SystemConfig, user: int) -> float:
     ratios (the harmonic-mean property), whose survival factorizes into
     the relay-ratio survival and the ordered-gain survival.
     """
-    dc = derive_constants(cfg)
-    _check_user(dc, user)
-    if not dc.feasible[user - 1]:
+    view = _user_view(derive_constants(cfg), user)
+    if view is None:
         return 1.0
-    l, L = user, cfg.num_users
-    m_ru, power_ru_est = uniform_ru(dc)
-    k2 = m_ru * cfg.rx_antennas
-    scale2 = power_ru_est / m_ru
-    dmax = float(dc.demand_peak[l - 1])
-    t2 = float(dc.noise_ru[l - 1])
-    x_w = dc.snr_lin * dc.rhi_amp * dc.sr_derate * dmax
-    s_w = _relay_ratio_sf(x_w, dc)
-    s_2 = ordered_sf(t2 * dc.rhi_amp * dmax, l, L, k2, scale2)
+    x_w = view.g * view.t3 * view.t4 * view.dmax
+    s_w = _relay_ratio_sf(x_w, view, view.t5 / (view.g * view.t4))
+    s_2 = ordered_sf(view.c, view.l, view.L, view.k2, view.s2)
     return min(max(1.0 - s_w * s_2, 0.0), 1.0)
 
 
@@ -543,17 +543,12 @@ def cee_floor(cfg: SystemConfig, user: int, *, snr_ref_db: float = 60.0) -> floa
     """
     if cfg.sigma_e_sr_sq == 0.0 and cfg.sigma_e_ru_sq == 0.0:
         raise ValueError("cee_floor requires a non-zero estimation error variance")
-    ref = replace(cfg, snr_db=snr_ref_db)
-    dc = derive_constants(ref)
-    g = dc.snr_lin
-    noise_ru = dc.noise_ru
-    noise_sr = dc.noise_sr
-    if cfg.sigma_e_ru_sq > 0.0:
-        noise_ru = np.full(cfg.num_users, g * cfg.sigma_e_ru_sq)
-    if cfg.sigma_e_sr_sq > 0.0:
-        noise_sr = g * cfg.sigma_e_sr_sq
-    dc = replace(dc, noise_ru=noise_ru, noise_sr=noise_sr)
-    return _op_exact(dc, user)
+    view = _user_view(derive_constants(replace(cfg, snr_db=snr_ref_db)), user)
+    if view is not None and cfg.sigma_e_ru_sq > 0.0:
+        view = view._replace(t2=view.g * cfg.sigma_e_ru_sq)
+    if view is not None and cfg.sigma_e_sr_sq > 0.0:
+        view = view._replace(t5=view.g * cfg.sigma_e_sr_sq)
+    return _op_exact(view)
 
 
 def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:
@@ -562,35 +557,30 @@ def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:
     Independent of ``cfg.snr_db``: use :meth:`AsymptoteReport.probability`
     to evaluate the asymptotic curve at any SNR.
     """
-    dc = derive_constants(cfg)
-    _check_user(dc, user)
-    l = user
-    if not dc.feasible[l - 1]:
+    view = _user_view(derive_constants(cfg), user)
+    if view is None:
         return AsymptoteReport(
-            user=l, regime="infeasible", diversity_order=0.0, array_gain=None,
+            user=user, regime="infeasible", diversity_order=0.0, array_gain=None,
             floor_value=1.0,
         )
+    l, k1, k2, k3 = view.l, view.k1, view.k2, view.k3
     if cfg.sigma_e_sr_sq > 0.0 or cfg.sigma_e_ru_sq > 0.0:
         return AsymptoteReport(
             user=l, regime="cee_floor", diversity_order=0.0, array_gain=None,
             floor_value=cee_floor(cfg, l),
         )
 
-    lam = float(dc.demand_peak[l - 1]) * dc.snr_lin  # SNR-free demand level
+    lam = view.dmax * view.g  # SNR-free demand level
     hop2_amp = 1.0 + cfg.kappa_sr ** 2
     hop1_amp = 1.0 + cfg.kappa_ru ** 2
-    m_ru, _ = uniform_ru(dc)
-    k1 = cfg.m_sr * cfg.tx_antennas
-    k2 = m_ru * cfg.rx_antennas
 
     if cfg.li_quality_mu == 1.0:
         # Loop interference grows with transmit power: the first hop
         # saturates and sets a floor shared by the whole curve.  The
-        # residual interference power is SNR-free here (scale * snr**0).
-        # g1/g3 is the relay ratio without its noise term; no estimation
-        # error reaches this branch, so the estimated S-R power is the true one.
-        x = hop1_amp * lam
-        floor = 1.0 - _relay_ratio_sf(x, replace(dc, noise_sr=0.0))
+        # residual interference power is SNR-free here (scale * snr**0),
+        # so the relay noise share of W vanishes; no estimation error
+        # reaches this branch, so the estimated S-R power is the true one.
+        floor = 1.0 - _relay_ratio_sf(hop1_amp * lam, view, 0.0)
         return AsymptoteReport(
             user=l, regime="li_floor", diversity_order=0.0, array_gain=None,
             floor_value=floor,
@@ -598,15 +588,22 @@ def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:
 
     do1 = (1.0 - cfg.li_quality_mu) * k1
     do2 = k2 * l
+    # E[X**k1] of the SNR-free loop interference X ~ Gamma(k3, lambda / k3);
+    # at mu = 0, X meets the relay noise at one order: E[(X + 1)**k1].
+    lam_li = cfg.li_scale_lambda
     log_d1 = (
-        math.lgamma(k1 + cfg.m_li)
-        - math.lgamma(k1 + 1)
-        - math.lgamma(cfg.m_li)
-        + k1 * math.log(hop1_amp * lam * cfg.m_sr * cfg.li_scale_lambda / (dc.power_sr * cfg.m_li))
+        math.lgamma(k1 + k3) - math.lgamma(k1 + 1) - math.lgamma(k3)
+        + k1 * math.log(hop1_amp * lam * lam_li / (view.s1 * k3))
     )
+    if cfg.li_quality_mu == 0.0:
+        log_d1 += math.log(math.fsum(
+            math.comb(k1, i) * (k3 / lam_li) ** (k1 - i)
+            * math.exp(math.lgamma(k3 + i) - math.lgamma(k3 + k1))
+            for i in range(k1 + 1)
+        ))
     chi1 = math.exp(-log_d1 / do1)
-    log_d2 = _log_comb(cfg.num_users, l) - l * math.lgamma(k2 + 1)
-    chi2 = math.exp(-log_d2 / do2) * float(dc.power_ru[l - 1]) / (hop2_amp * lam * m_ru)
+    log_d2 = _log_comb(view.L, l) - l * math.lgamma(k2 + 1)
+    chi2 = math.exp(-log_d2 / do2) * view.s2 / (hop2_amp * lam)
     if abs(do1 - do2) <= _TIE_TOL:
         # both hops decay at the same order: their asymptotes add
         do, ag = do1, (chi1 ** -do1 + chi2 ** -do1) ** (-1.0 / do1)
@@ -618,4 +615,3 @@ def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:
         user=l, regime="ideal", diversity_order=do, array_gain=ag,
         floor_value=None,
     )
-

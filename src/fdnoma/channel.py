@@ -12,7 +12,8 @@ are already marginalized into the SIDNR constants.
 
 :func:`draw_batch` draws a block's unit-scale variates (:func:`draw_units`,
 which depend on the fading shapes only) and scales them to one
-configuration (:func:`gamma_laws`, :func:`scale_users`).  As
+configuration (:func:`~fdnoma.config.gamma_laws`, the package's one
+statement of the link shapes and scales, and :func:`scale_users`).  As
 ``Generator.gamma(k, s)`` is ``s * standard_gamma(k)`` bit for bit, every
 configuration with the same shapes can share one block's unit draws.
 
@@ -26,9 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DerivedConstants
+from .config import DerivedConstants, gamma_laws
 
-__all__ = ["seeded_stream", "draw_batch", "draw_units", "gamma_laws", "scale_users"]
+__all__ = ["seeded_stream", "draw_batch", "draw_units", "scale_users"]
 
 
 def seeded_stream(seed: int, substream: int = 0) -> np.random.Generator:
@@ -43,15 +44,6 @@ def seeded_stream(seed: int, substream: int = 0) -> np.random.Generator:
         raise ValueError("substream must fit in an unsigned 64-bit integer")
     key = np.array([int(seed), int(substream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def gamma_laws(dc: DerivedConstants):
-    """Gamma shapes and scales of the links of ``dc``, each a triple
-    (first hop, per-user tuple, loop interference)."""
-    cfg = dc.cfg
-    shapes = cfg.m_sr * cfg.tx_antennas, tuple(m * cfg.rx_antennas for m in cfg.m_ru), cfg.m_li
-    ru = tuple(p / m for p, m in zip(dc.power_ru_est, cfg.m_ru))
-    return shapes, (dc.power_sr_est / cfg.m_sr, ru, dc.power_li / cfg.m_li)
 
 
 def draw_units(shapes, rng: np.random.Generator, size: int, include_li: bool = True):

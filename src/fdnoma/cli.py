@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -101,6 +100,8 @@ def _apply_variable(cfg: SystemConfig, variable: str, value: float) -> SystemCon
     if variable == "kappa":
         return replace(cfg, kappa_sr=float(value), kappa_ru=float(value))
     # relay placement: the user links make up the remaining distance
+    if len(set(cfg.d_ru)) > 1:
+        raise ConfigError(f"a d_sr sweep sets every d_ru to 1 - d_sr, but d_ru is per user: {list(cfg.d_ru)}")
     return replace(cfg, d_sr=float(value), d_ru=1.0 - float(value))
 
 
@@ -125,9 +126,9 @@ def run_sweep(config_path, spec: SweepSpec, out_path) -> None:
     cross-method invariant fails (then nothing is written).
 
     Monte Carlo jobs are built (and validated) first, then the analytic
-    cells, one grid point per worker of a small thread pool, so a numeric
-    failure ends the sweep before any Monte Carlo time is spent.  One
-    engine call runs every job, drawing each block once for the sweep.
+    cells, so a numeric failure ends the sweep before any Monte Carlo
+    time is spent.  One engine call runs every job, drawing each block
+    once for the sweep.
     """
     cfg, extras = load_config_extras(config_path)
     for u in spec.users:
@@ -149,8 +150,7 @@ def run_sweep(config_path, spec: SweepSpec, out_path) -> None:
     if "asymp" in spec.methods and spec.variable == "snr_db":
         asymp_reports = {u: op_asymptotic(cfg, u) for u in spec.users}
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        all_cells = list(pool.map(lambda c: _analytic_cells(c, spec, asymp_reports), points))
+    all_cells = [_analytic_cells(c, spec, asymp_reports) for c in points]
     if "exact" in spec.methods and "lb" in spec.methods:
         for v, cells in zip(values, all_cells):
             for u in spec.users:

@@ -44,7 +44,7 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
     "config_hash",
-    "uniform_ru",
+    "gamma_laws",
 ]
 
 POWER_SUM_TOL = 1e-12
@@ -269,20 +269,15 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
     )
 
 
-def uniform_ru(dc: DerivedConstants) -> tuple[int, float]:
-    """Shared (shape, estimated power) of the user channels.
-
-    The closed-form outage expressions build on order statistics of i.i.d.
-    gains, so per-user overrides of ``m_ru`` or ``d_ru`` are rejected here
-    (the Monte Carlo engine has no such restriction).
+def gamma_laws(dc: DerivedConstants):
+    """Gamma shapes and scales of the links of ``dc``, each a triple
+    (first hop, per-user tuple, loop interference); the one statement
+    of the link law, read by the Monte Carlo draws and the analytic routes.
     """
-    m = set(dc.cfg.m_ru)
-    p = set(float(v) for v in dc.power_ru_est)
-    if len(m) > 1 or len(p) > 1:
-        raise ConfigError(
-            "analytic outage requires identical fading shape and distance for all users"
-        )
-    return m.pop(), p.pop()
+    cfg = dc.cfg
+    shapes = cfg.m_sr * cfg.tx_antennas, tuple(m * cfg.rx_antennas for m in cfg.m_ru), cfg.m_li
+    ru = tuple(float(p) / m for p, m in zip(dc.power_ru_est, cfg.m_ru))
+    return shapes, (dc.power_sr_est / cfg.m_sr, ru, dc.power_li / cfg.m_li)
 
 
 def threshold_from_rate(rate_bpcu: float) -> float:

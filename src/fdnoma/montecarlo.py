@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import draw_units, gamma_laws, scale_users, seeded_stream
-from .config import DerivedConstants, SystemConfig, derive_constants
+from .channel import draw_units, scale_users, seeded_stream
+from .config import DerivedConstants, SystemConfig, derive_constants, gamma_laws
 from .sidnr import outage_mask
 
 __all__ = ["BLOCK_TRIALS", "Job", "OutageEstimate", "estimate", "estimate_all_users"]

@@ -213,10 +213,25 @@ class TestExactVsOracle:
             assert v <= last + 1e-12
             last = v
 
-    def test_requires_identical_user_statistics(self):
-        cfg = default_config(d_ru=(0.4, 0.5, 0.6))
-        with pytest.raises(ConfigError):
-            op_exact(cfg, 1)
+    @pytest.mark.parametrize("route", [op_exact, op_oracle_2d, op_lower_bound, op_asymptotic])
+    def test_requires_identical_user_statistics(self, route):
+        # the last case pins the li_floor branch of op_asymptotic after the check
+        unequal = (dict(d_ru=(0.4, 0.5, 0.6)), dict(m_ru=(1, 2, 1)), dict(m_ru=(2, 2, 1), li_quality_mu=1.0))
+        for kw in unequal:
+            with pytest.raises(ConfigError):
+                route(default_config(**kw), 1)
+
+    @pytest.mark.parametrize("route", [op_exact, op_oracle_2d, op_lower_bound, op_asymptotic])
+    def test_infeasible_user_precedes_statistics_check(self, route):
+        # user 3 cannot decode (distortion claims its whole power share):
+        # its outage is 1 whatever the other users' statistics
+        cfg = default_config(d_ru=(0.4, 0.5, 0.6), thresholds=(0.9, 1.5, 20.0),
+                             kappa_sr=0.14, kappa_ru=0.14)
+        value = route(cfg, 3)
+        if route is op_asymptotic:
+            assert value.regime == "infeasible"
+            value = value.probability(1e6)
+        assert value == 1.0
 
     def test_closed_form_calls_no_quadrature(self, monkeypatch):
         def no_quad(*args, **kwargs):
@@ -346,6 +361,19 @@ class TestAsymptotics:
         r = op_asymptotic(cfg, 1)
         orc = op_oracle_2d(replace(cfg, snr_db=60.0), 1)
         assert r.probability(1e6) == pytest.approx(orc, rel=0.10)
+
+    @pytest.mark.parametrize("lam", [1.0, 3.0])
+    @pytest.mark.parametrize("m_li", [1, 2])
+    @pytest.mark.parametrize("m_sr", [1, 2])
+    @pytest.mark.parametrize("antennas", [(1, 1), (2, 2), (3, 2)], ids=["1x1", "2x2", "3x2"])
+    def test_mu0_asymptote_keeps_relay_noise(self, antennas, m_sr, m_li, lam):
+        # at mu = 0 the loop interference and the relay noise share one
+        # order, so the first-hop coefficient is E[(X + 1)**k1], not E[X**k1]
+        cfg = default_config(tx_antennas=antennas[0], rx_antennas=antennas[1], m_sr=m_sr,
+                             m_li=m_li, li_scale_lambda=lam, li_quality_mu=0.0, snr_db=80.0)
+        for u in (1, 2, 3):
+            r = op_asymptotic(cfg, u)
+            assert r.probability(1e8) / op_oracle_2d(cfg, u) == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize("antennas", [1, 2])
     def test_tied_orders_add_asymptotes(self, antennas):

@@ -121,6 +121,18 @@ def test_d_sr_sweep_sets_complementary_distance(cfg_file, tmp_path):
     assert [float(r[0]) for r in rows] == pytest.approx([0.2, 0.5, 0.8])
 
 
+def test_d_sr_sweep_rejects_per_user_distances(tmp_path, capsys):
+    # d_sr sets every d_ru to 1 - d_sr: per-user distances would be lost
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config_to_dict(default_config(d_ru=(0.4, 0.5, 0.6)))))
+    out = tmp_path / "d.csv"
+    rc = main(["--config", str(p), "--sweep", "d_sr=0.3:0.5:0.1", "--methods", "mc",
+               "--trials", "100", "--out", str(out)])
+    assert rc == 1
+    assert "d_ru is per user" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mu_sweep_reproduces_duplexing_crossover(tmp_path):
     # shared-vs-orthogonal-duplexing comparison through the file interface:
     # curves must cross between perfect and absent loop-interference
@@ -369,16 +381,16 @@ def test_sweep_mc_cells_equal_separate_engine_calls(tmp_path, monkeypatch, sweep
     monkeypatch.setattr(
         cli_mod, "_fmt", lambda v: str(v) if isinstance(v, int) else repr(float(v))
     )
+    variable, rest = sweep.split("=")
     cfg = default_config(
         tx_antennas=2, rx_antennas=2, li_quality_mu=0.3, kappa_sr=0.05, kappa_ru=0.05,
-        m_ru=(1, 2, 1), d_ru=(0.4, 0.5, 0.6),
+        m_ru=(1, 2, 1), d_ru=0.5 if variable == "d_sr" else (0.4, 0.5, 0.6),  # d_sr sets every d_ru
     )
     d = config_to_dict(cfg)
     d["hd_thresholds"] = [0.8, 1.2, 1.9]
     d["oma_threshold"] = 4.0
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(d))
-    variable, rest = sweep.split("=")
     start, stop, step = (float(v) for v in rest.split(":"))
     trials, seed = BLOCK_TRIALS + 1000, 19  # the second block is a remainder block
     users = (1, 2, 3)
