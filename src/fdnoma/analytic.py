@@ -9,15 +9,13 @@ Four routes to the same quantity, used to cross-validate each other:
   through power-series coefficients, and what remains is a finite
   alternating sum of one-dimensional tail integrals
   (:func:`tail_weight_integral`), all evaluated at once by one
-  vectorized trapezoid rule on a log axis whose step-halving check
-  raises instead of returning an unchecked value.
+  vectorized trapezoid rule on a log axis.
 * :func:`op_oracle_2d` - direct 2-D integration of the outage
   probability over (user gain above its floor, loop-interference gain)
-  on log axes, by one vectorized tensor-product trapezoid rule with a
-  step-halving check.  Its head and densities come from the binomial
-  order-statistic law in :mod:`~fdnoma.specfun`; it shares nothing
-  with the closed form's expansion and is nearly assumption-free; the
-  reference oracle.
+  on log axes, by the same rule as a tensor product.  Its head and
+  densities come from the binomial order-statistic law in
+  :mod:`~fdnoma.specfun`; it shares none of the closed form's expansion
+  and is nearly assumption-free; the reference oracle.
 * :func:`op_lower_bound` - fully closed form obtained by bounding the
   two-hop SIDNR by the smaller of the per-hop ratios.
 * :func:`op_asymptotic` - high-SNR behavior: diversity order and array
@@ -32,6 +30,9 @@ gain, loop interference), the user's SIDNR constants and the outage
 floor ``c`` of the ordered gain.  An infeasible user has no view (its
 outage is 1); the closed forms need i.i.d. user gains, so unequal user
 statistics raise :class:`~fdnoma.config.ConfigError`.
+
+Both quadratures use one halving-checked log-axis trapezoid rule, written
+once (:func:`_window`, :func:`_trapezoid`, :func:`_check_halving`).
 
 The alternating sums are accumulated with exact compensated summation
 (``math.fsum``) after scaling by the largest term, and the evaluation
@@ -64,9 +65,6 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-9
-# Relative tolerance of each tail integral of the closed form; the
-# cancellation guard of op_exact scales its error estimate by it.
-_TAIL_REL_TOL = 1e-12
 
 
 class NumericsError(RuntimeError):
@@ -116,6 +114,50 @@ def _user_view(dc: DerivedConstants, user: int) -> _User | None:
     )
 
 
+# -- the log-axis trapezoid rule --------------------------------------------
+
+# Relative step-halving tolerance of every log-axis rule; op_exact's
+# cancellation guard scales its error estimate by it.
+_REL_TOL = 1e-12
+
+
+def _window(scan, phi, name):
+    """Per row of ``phi`` (a log integrand on the nodes ``scan``), the window
+    [lo, hi] of every node within e^-40 of the row's peak, widened by one
+    node per side: all but ~e^-40 of the mass of a concave phi.  A window
+    at an end of the scan raises :class:`NumericsError`, naming row i by
+    ``name(i)``."""
+    inside = phi >= phi.max(axis=1, keepdims=True) - 40.0
+    first = np.argmax(inside, axis=1) - 1
+    last = len(scan) - np.argmax(inside[:, ::-1], axis=1)
+    bad = np.flatnonzero((first < 0) | (last >= len(scan)))
+    if len(bad):
+        raise NumericsError(f"{name(bad[0])} not contained in the log-axis scan [{scan[0]:g}, {scan[-1]:g}]")
+    return scan[first], scan[last]
+
+
+def _trapezoid(lo, hi, step, min_intervals):
+    """One trapezoid rule per window [lo, hi]: the steps and the end-halved
+    weights.  The interval count is even, so the rule on every other node
+    (the halving check) keeps both ends; it is shared by every window and
+    set by the widest one, with steps of at most ``step``."""
+    n = max(min_intervals, math.ceil((hi - lo).max() / step))
+    n += n % 2
+    weights = np.ones(n + 1)
+    weights[0] = weights[n] = 0.5
+    return (hi - lo) / n, weights
+
+
+def _check_halving(fine, coarse, name):
+    """Raise :class:`NumericsError` where a rule (``fine``) and the same rule
+    on every other node (``coarse``) differ by more than ``_REL_TOL``
+    relative; ``name(i)`` names element i."""
+    rel_err = np.abs(fine - coarse) / fine
+    worst = int(np.argmax(rel_err))
+    if not rel_err[worst] <= _REL_TOL:
+        raise NumericsError(f"{name(worst)} did not converge (step-halving relative error {rel_err[worst]:.2e})")
+
+
 # -- tail integral ----------------------------------------------------------
 
 def _tail_exponent(w, p, rate, inv_rate, shift, shift_power):
@@ -131,61 +173,36 @@ def _log_tail_weights(p, rate, inv_rate, shift, shift_power):
     the log axis (x = e^w) the integrand is a smooth bump exp(phi(w)):
     the essential zero at the origin and the exponential decay at
     infinity become double-exponential falloffs.  phi is concave (a
-    linear term minus convex ones), so the nodes of a fixed scan grid
-    with phi >= max - 40, widened by one scan step on each side, hold all
-    but ~e^-40 of the mass.  On that window the trapezoid rule converges
-    exponentially in the number of nodes (Trefethen & Weideman, SIAM Rev.
-    2014); one node count, set by the widest window, serves every row,
-    and each row is summed scaled by its largest node.  Every row is
-    checked against the same rule on every other node: a disagreement
-    above ``_TAIL_REL_TOL``, or a window that reaches an end of the scan,
-    raises :class:`NumericsError`.
+    linear term minus convex ones), so :func:`_window` on a fixed scan
+    grid of step 0.125 finds where its mass lies.  On that window the
+    trapezoid rule converges exponentially in the number of nodes
+    (Trefethen & Weideman, SIAM Rev. 2014); one node count, at least 128
+    and set by the widest window, serves every row, each row is summed
+    scaled by its largest node and checked by :func:`_check_halving`.
     """
     ws = np.linspace(-60.0, 45.0, 841)  # scan grid, step 0.125
     block = 16  # rows at a time: bounds the temporaries to ~0.5 MB
     rows = np.broadcast_arrays(
         *(np.reshape(np.asarray(a, dtype=float), (-1, 1)) for a in (p, rate, inv_rate, shift, shift_power))
     )
+    names = ("p", "rate", "inv_rate", "shift", "shift_power")
+    name = lambda i: "tail integral (" + ", ".join(f"{k}={a[i, 0]:g}" for k, a in zip(names, rows)) + ")"
     blocks = [slice(i, i + block) for i in range(0, len(rows[0]), block)]
-    first, stop = np.empty((2, len(rows[0])), dtype=np.int64)
+    lo, hi, top, fine, coarse = np.empty((5, len(rows[0])))
     for b in blocks:
         phi = _tail_exponent(ws, *(a[b] for a in rows))
-        inside = phi >= phi.max(axis=1, keepdims=True) - 40.0
-        first[b] = np.argmax(inside, axis=1) - 1
-        stop[b] = len(ws) - np.argmax(inside[:, ::-1], axis=1)
-    if first.min() < 0 or stop.max() >= len(ws):
-        bad = int(np.flatnonzero((first < 0) | (stop >= len(ws)))[0])
-        raise NumericsError(
-            "tail integrand not contained in the log-axis scan "
-            f"[{ws[0]:g}, {ws[-1]:g}] ({_row_text(rows, bad)})"
-        )
-    lo, width = ws[first], ws[stop] - ws[first]
-    n = max(128, math.ceil(width.max() / 0.1))  # step <= 0.1, even count
-    n += n % 2
-    h = width / n
-    nodes = np.arange(n + 1)
-    log_t, rel_err = np.empty((2, len(rows[0])))
+        lo[b], hi[b] = _window(ws, phi, lambda i: name(b.start + i))
+    h, weights = _trapezoid(lo, hi, 0.1, 128)
+    nodes = np.arange(len(weights))
     for b in blocks:
         phi = _tail_exponent(lo[b, None] + h[b, None] * nodes, *(a[b] for a in rows))
-        top = phi.max(axis=1)
-        f = np.exp(phi - top[:, None])
-        f[:, [0, n]] *= 0.5  # trapezoid end weights, shared by the halved rule
-        fine = h[b] * f.sum(axis=1)
-        coarse = 2.0 * h[b] * f[:, ::2].sum(axis=1)
-        rel_err[b] = np.abs(fine - coarse) / fine
-        log_t[b] = top + np.log(fine)
-    worst = int(np.argmax(rel_err))
-    if not rel_err[worst] <= _TAIL_REL_TOL:
-        raise NumericsError(
-            f"tail integral did not converge ({_row_text(rows, worst)}, "
-            f"step-halving relative error {rel_err[worst]:.2e})"
-        )
-    return log_t
-
-
-def _row_text(rows, i):
-    names = ("p", "rate", "inv_rate", "shift", "shift_power")
-    return ", ".join(f"{k}={a[i, 0]:g}" for k, a in zip(names, rows))
+        top[b] = phi.max(axis=1)
+        f = np.exp(phi - top[b, None])
+        f[:, [0, -1]] *= 0.5  # trapezoid end weights, shared by the halved rule
+        fine[b] = h[b] * f.sum(axis=1)
+        coarse[b] = 2.0 * h[b] * f[:, ::2].sum(axis=1)
+    _check_halving(fine, coarse, name)
+    return top + np.log(fine)
 
 
 def tail_weight_integral(
@@ -200,10 +217,10 @@ def tail_weight_integral(
     ``power`` may be negative; ``inv_rate > 0`` then keeps the origin
     integrable.  With ``inv_rate == 0`` the caller must ensure
     integrability at 0 (``power >= 0`` or ``power > shift_power - 1``
-    when ``shift == 0``).  One row of the closed form's kernel: a
-    log-axis trapezoid rule with a step-halving check at relative
-    tolerance 1e-12; raises :class:`NumericsError` when the check fails
-    or the integrand leaves the scanned range (x in [e^-60, e^45]).
+    when ``shift == 0``).  One row of the closed form's kernel, the
+    log-axis rule :func:`op_oracle_2d` shares: raises :class:`NumericsError`
+    when its step-halving check fails (relative tolerance 1e-12) or the
+    integrand leaves the scanned range (x in [e^-60, e^45]).
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
@@ -329,7 +346,7 @@ def _op_exact(view: _User | None) -> float:
     # The sum itself is exactly rounded; what limits the result is the
     # per-term evaluation error (dominated by the tail-integral
     # tolerance) amplified by cancellation against the leading 1.
-    err_est = peak * _TAIL_REL_TOL
+    err_est = peak * _REL_TOL
     if err_est > 0.05 * max(abs(op), 1e-300):
         raise NumericsError(
             f"catastrophic cancellation: outage {op:.3e} below the "
@@ -354,17 +371,6 @@ def op_exact(cfg: SystemConfig, user: int) -> float:
 _ORACLE_STEP = 0.05
 _ORACLE_SCAN_STEP = 0.25
 _ORACLE_REACH = (50.0, 8.0)
-# Relative step-halving tolerance of the oracle's body.
-_ORACLE_REL_TOL = 1e-12
-
-
-def _scan_window(axis, inside):
-    """[first, last] of ``axis`` where ``inside`` holds, widened by one node."""
-    idx = np.flatnonzero(inside)
-    first, last = idx[0] - 1, idx[-1] + 1
-    if first < 0 or last >= len(axis):
-        return None
-    return float(axis[first]), float(axis[last])
 
 
 def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
@@ -378,15 +384,14 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
     as the single "order statistic" of one gain); the body
     E[P(g1 < need); y > c] is integrated over a = log(y - c) and
     b = log z, where its mass just above the floor and its slow
-    power-law flanks become one smooth bump, by a tensor-product
-    trapezoid rule of step 0.05.  The window holds every node of a
-    coarse scan, anchored at the gain scales and at the first-hop
-    transition near the floor, within e^-40 of the peak, plus one scan
-    step per side; on it the rule converges exponentially.  The body is
-    checked against the same rule on every other node: a disagreement
-    above 1e-12 relative, or a window that reaches an end of the scan,
-    raises :class:`NumericsError`.  No part of the closed form's
-    expansion is shared.
+    power-law flanks become one smooth bump.  The rule is the closed
+    form's tail-integral rule in two dimensions: a tensor-product
+    trapezoid of step 0.05 over the window of the bump's peak profile
+    along each axis, from a coarse scan anchored at the gain scales and
+    at the first-hop transition near the floor, with the same
+    step-halving check at 1e-12 relative; a failed check, or a window
+    that reaches an end of the scan, raises :class:`NumericsError`.
+    None of the closed form's expansion is shared.
     """
     view = _user_view(derive_constants(cfg), user)
     if view is None:
@@ -425,26 +430,12 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
     with np.errstate(divide="ignore"):
         scan = phi(rows(a_scan), cols(b_scan))
     top = scan.max()
-    inside = scan >= top - 40.0
-    win_a = _scan_window(a_scan, inside.any(axis=1))
-    win_b = _scan_window(b_scan, inside.any(axis=0))
-    if win_a is None or win_b is None:
-        raise NumericsError(
-            "oracle integrand not contained in the log-axis scan "
-            f"(a = log(y - c) in [{a_scan[0]:g}, {a_scan[-1]:g}], "
-            f"b = log z in [{b_scan[0]:g}, {b_scan[-1]:g}])"
-        )
-
-    def trapezoid(lo, hi):
-        n = math.ceil((hi - lo) / _ORACLE_STEP)
-        n += n % 2  # even count: the halved rule keeps both ends
-        nodes = np.linspace(lo, hi, n + 1)
-        weights = np.ones(n + 1)
-        weights[[0, n]] = 0.5
-        return nodes, weights, (hi - lo) / n
-
-    a, wa, ha = trapezoid(*win_a)
-    b, wb, hb = trapezoid(*win_b)
+    lo, hi = _window(a_scan, scan.max(axis=1)[None], lambda i: "oracle integrand in a = log(y - c)")
+    ha, wa = _trapezoid(lo, hi, _ORACLE_STEP, 2)
+    a = lo + ha * np.arange(len(wa))
+    lo, hi = _window(b_scan, scan.max(axis=0)[None], lambda i: "oracle integrand in b = log z")
+    hb, wb = _trapezoid(lo, hi, _ORACLE_STEP, 2)
+    b = lo + hb * np.arange(len(wb))
     row, col = rows(a), cols(b)
     fine = coarse = 0.0
     block = 64  # rows at a time, even: bounds the temporaries to a few MB
@@ -456,12 +447,8 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
             coarse += float(wa[s][::2] @ f[::2, ::2] @ wb[::2])
     fine *= ha * hb
     coarse *= 4.0 * ha * hb
-    rel_err = abs(fine - coarse) / fine
-    if not rel_err <= _ORACLE_REL_TOL:
-        raise NumericsError(
-            f"oracle body did not converge (step-halving relative error {rel_err:.2e})"
-        )
-    return min(head + math.exp(top) * fine, 1.0)
+    _check_halving(fine, coarse, lambda i: "oracle body")
+    return float(min(head + math.exp(top) * fine[0], 1.0))
 
 
 # -- closed-form lower bound ------------------------------------------------

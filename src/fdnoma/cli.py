@@ -67,6 +67,8 @@ class SweepSpec:
             raise ConfigError(f"sweep variable must be one of {SWEEP_VARIABLES}")
         if self.step <= 0:
             raise ConfigError("sweep step must be positive")
+        if not np.isfinite([self.start, self.stop, self.step, (self.stop - self.start) / self.step]).all():
+            raise ConfigError("sweep start, stop, step and point count must be finite")
         if self.start > self.stop:
             raise ConfigError("sweep start must not exceed stop")
         if not self.methods:

@@ -29,6 +29,7 @@ import hashlib
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,16 +58,18 @@ class ConfigError(ValueError):
 
 
 def _check_real(name, value):
-    """Reject a config value that is not a real number (bools included)
-    or a list of them where the key takes one; returns it unchanged.
-    Nothing is coerced, so the config hash of a valid file does not
-    change."""
+    """Reject a config value that is not a real number within the float
+    range (bools, NaN and the infinities included) or a list of them where
+    the key takes one; returns it unchanged.  Nothing is coerced, so the
+    config hash of a valid file does not change."""
     seq = isinstance(value, (list, tuple, np.ndarray))
     shape_ok = name in _PER_USER_KEYS if seq else name not in _LIST_KEYS
     items = value if seq else [value]
     if not shape_ok or any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in items):
         kinds = ["a number"] * (name not in _LIST_KEYS) + ["a list of numbers"] * (name in _PER_USER_KEYS)
         raise ConfigError(f"{name} must be {' or '.join(kinds)}, got {value!r}")
+    if not all(abs(v) <= sys.float_info.max for v in items):  # NaN and inf fail too
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return value
 
 

@@ -258,6 +258,13 @@ class TestExactVsOracle:
         with pytest.raises(NumericsError, match="step-halving"):
             op_oracle_2d(default_config(li_quality_mu=0.2, snr_db=30.0), 1)
 
+    def test_one_tolerance_governs_both_rules(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_REL_TOL", 1e-30)
+        with pytest.raises(NumericsError, match="step-halving"):
+            tail_weight_integral(0, 0.5, 0.2, 0.1, 1)
+        with pytest.raises(NumericsError, match="step-halving"):
+            op_oracle_2d(default_config(li_quality_mu=0.2, snr_db=30.0), 1)
+
     def test_cancellation_guard_raises_deep_in_tail(self):
         cfg = default_config(li_quality_mu=0.2, tx_antennas=2, rx_antennas=2, snr_db=120.0)
         with pytest.raises(NumericsError):

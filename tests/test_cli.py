@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -55,6 +56,21 @@ def test_spec_validation():
         SweepSpec("snr_db", 0, 1, 0.1, ("mc", "exact", "mc"), (1,))
     with pytest.raises(ConfigError):
         SweepSpec("snr_db", 0, 1, 0.1, ("mc",), (2, 2))
+    # non-finite bounds, steps and point counts (10 / 1e-320 overflows)
+    for start, stop, step in [
+        (math.nan, 10, 5), (0, math.inf, 5), (-math.inf, 10, 5),
+        (0, 10, math.nan), (0, 10, math.inf), (0, 10, 1e-320),
+    ]:
+        with pytest.raises(ConfigError, match="finite"):
+            SweepSpec("snr_db", start, stop, step, ("mc",), (1,))
+
+
+@pytest.mark.parametrize("sweep", ["snr_db=nan:10:5", "snr_db=0:inf:5", "snr_db=0:10:1e-320"])
+def test_main_rejects_nonfinite_sweep(cfg_file, tmp_path, capsys, sweep):
+    out = tmp_path / "x.csv"
+    assert main(["--config", str(cfg_file), "--sweep", sweep, "--methods", "lb", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_snr_sweep_rows_and_ordering(cfg_file, tmp_path):
@@ -295,6 +311,17 @@ def test_main_invariant_violation_exit_code(cfg_file, tmp_path, capsys, monkeypa
         ("snr_db", "15", ["--sweep", "snr_db=0:10:5", "--methods", "lb"]),
         ("hd_thresholds", 1.5, ["--sweep", "snr_db=0:10:5", "--methods", "hd"]),
         ("oma_threshold", "x", ["--sweep", "snr_db=0:10:5", "--methods", "oma"]),
+        # JSON's NaN and Infinity are read as floats; none is a valid value
+        ("kappa_sr", math.nan, ["--sweep", "snr_db=0:10:5", "--methods", "exact,lb,mc"]),
+        ("thresholds", [0.9, math.nan, 2.0], ["--sweep", "snr_db=0:10:5", "--methods", "exact,mc"]),
+        ("d_ru", math.nan, ["--sweep", "snr_db=0:10:5", "--methods", "mc"]),
+        ("hd_thresholds", [1, math.nan, 2], ["--sweep", "snr_db=0:10:5", "--methods", "hd"]),
+        ("oma_threshold", math.inf, ["--sweep", "snr_db=0:10:5", "--methods", "oma"]),
+        ("li_scale_lambda", math.inf, ["--sweep", "snr_db=0:10:5", "--methods", "exact,lb,mc"]),
+        ("snr_db", math.inf, ["--validate"]),
+        pytest.param("m_sr", 10 ** 400, ["--validate"], id="m_sr-int-beyond-float"),
+        pytest.param("snr_db", 10 ** 400, ["--validate"], id="snr_db-int-beyond-float"),
+        ("snr_db", math.inf, ["--sweep", "mu=0:1:0.5", "--methods", "lb"]),
     ],
 )
 def test_main_rejects_wrongly_typed_config(tmp_path, capsys, key, value, argv):
