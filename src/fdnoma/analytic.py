@@ -12,10 +12,11 @@ Four routes to the same quantity, used to cross-validate each other:
   vectorized trapezoid rule on a log axis.
 * :func:`op_oracle_2d` - direct 2-D integration of the outage
   probability over (user gain above its floor, loop-interference gain)
-  on log axes, by the same rule as a tensor product.  Its head and
-  densities come from the binomial order-statistic law in
-  :mod:`~fdnoma.specfun`; it shares none of the closed form's expansion
-  and is nearly assumption-free; the reference oracle.
+  on log axes, by the same rule as a tensor product, started at step
+  0.1 and halved, reusing every node, while its check fails (floor
+  0.025).  Its head and densities come from the binomial order-statistic
+  law in :mod:`~fdnoma.specfun`; it shares none of the closed form's
+  expansion and is nearly assumption-free; the reference oracle.
 * :func:`op_lower_bound` - fully closed form obtained by bounding the
   two-hop SIDNR by the smaller of the per-hop ratios.
 * :func:`op_asymptotic` - high-SNR behavior: diversity order and array
@@ -365,10 +366,12 @@ def op_exact(cfg: SystemConfig, user: int) -> float:
 
 # -- 2-D log-axis oracle ----------------------------------------------------
 
-# Trapezoid step on both log axes of the oracle, the step of the scan that
-# picks its window, and how far the scan reaches beyond the data anchors
-# (below the leftmost anchor, above the rightmost one).
-_ORACLE_STEP = 0.05
+# Start step on both log axes of the oracle and how often a failed
+# halving check may halve it (floor 0.1 / 4 = 0.025), the step of the
+# scan that picks its window, and how far the scan reaches beyond the data
+# anchors (below the leftmost anchor, above the rightmost one).
+_ORACLE_STEP = 0.1
+_ORACLE_HALVINGS = 2
 _ORACLE_SCAN_STEP = 0.25
 _ORACLE_REACH = (50.0, 8.0)
 
@@ -386,12 +389,15 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
     b = log z, where its mass just above the floor and its slow
     power-law flanks become one smooth bump.  The rule is the closed
     form's tail-integral rule in two dimensions: a tensor-product
-    trapezoid of step 0.05 over the window of the bump's peak profile
-    along each axis, from a coarse scan anchored at the gain scales and
-    at the first-hop transition near the floor, with the same
-    step-halving check at 1e-12 relative; a failed check, or a window
-    that reaches an end of the scan, raises :class:`NumericsError`.
-    None of the closed form's expansion is shared.
+    trapezoid over the window of the bump's peak profile along each
+    axis, from a coarse scan anchored at the gain scales and at the
+    first-hop transition near the floor, with the same step-halving
+    check at 1e-12 relative.  It starts at step 0.1 on both axes; while
+    the check fails it halves both steps, down to a floor of 0.025, and
+    evaluates only the new nodes (the rule is nested, so every old node
+    is reused).  A check that still fails at the floor, or a window that
+    reaches an end of the scan, raises :class:`NumericsError`.  None of
+    the closed form's expansion is shared.
     """
     view = _user_view(derive_constants(cfg), user)
     if view is None:
@@ -419,6 +425,17 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
         (w_row, n_row), (w_col, n_col) = row, col
         return w_row[:, None] + w_col + np.log(gammainc(k1, np.exp(n_row[:, None] + n_col)))
 
+    def grid_sum(a, wa, b, wb):
+        """sum of wa_i wb_j exp(phi(a_i, b_j) - top) over the grid a by b."""
+        row, col = rows(a), cols(b)
+        total = 0.0
+        block = 64  # rows at a time: bounds the temporaries to a few MB
+        with np.errstate(divide="ignore"):
+            for i in range(0, len(a), block):
+                s = slice(i, i + block)
+                total += float(wa[s] @ np.exp(phi(tuple(v[s] for v in row), col) - top) @ wb)
+        return total
+
     # Anchors: the user-gain and loop-interference scales and, far left
     # of the former at high SNR, the distance above the floor at which
     # need(y, 0) falls to scale1 and the first-hop CDF leaves 1.
@@ -430,25 +447,28 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
     with np.errstate(divide="ignore"):
         scan = phi(rows(a_scan), cols(b_scan))
     top = scan.max()
-    lo, hi = _window(a_scan, scan.max(axis=1)[None], lambda i: "oracle integrand in a = log(y - c)")
-    ha, wa = _trapezoid(lo, hi, _ORACLE_STEP, 2)
-    a = lo + ha * np.arange(len(wa))
-    lo, hi = _window(b_scan, scan.max(axis=0)[None], lambda i: "oracle integrand in b = log z")
-    hb, wb = _trapezoid(lo, hi, _ORACLE_STEP, 2)
-    b = lo + hb * np.arange(len(wb))
-    row, col = rows(a), cols(b)
-    fine = coarse = 0.0
-    block = 64  # rows at a time, even: bounds the temporaries to a few MB
-    with np.errstate(divide="ignore"):
-        for i in range(0, len(a), block):
-            s = slice(i, i + block)
-            f = np.exp(phi(tuple(v[s] for v in row), col) - top)
-            fine += float(wa[s] @ f @ wb)
-            coarse += float(wa[s][::2] @ f[::2, ::2] @ wb[::2])
-    fine *= ha * hb
-    coarse *= 4.0 * ha * hb
-    _check_halving(fine, coarse, lambda i: "oracle body")
-    return float(min(head + math.exp(top) * fine[0], 1.0))
+    lo_a, hi_a = _window(a_scan, scan.max(axis=1)[None], lambda i: "oracle integrand in a = log(y - c)")
+    ha, wa = _trapezoid(lo_a, hi_a, _ORACLE_STEP, 2)
+    lo_b, hi_b = _window(b_scan, scan.max(axis=0)[None], lambda i: "oracle integrand in b = log z")
+    hb, wb = _trapezoid(lo_b, hi_b, _ORACLE_STEP, 2)
+    a, b = lo_a + ha * np.arange(len(wa)), lo_b + hb * np.arange(len(wb))
+    # The rule on every other node, then per level its new nodes: the odd
+    # rows, and the even rows at the odd columns.  The even nodes of a
+    # halved grid are the old nodes, bit for bit (halving is exact).
+    coarse_sum = grid_sum(a[::2], wa[::2], b[::2], wb[::2])
+    for level in range(_ORACLE_HALVINGS + 1):
+        fine_sum = (coarse_sum + grid_sum(a[1::2], wa[1::2], b, wb)
+                    + grid_sum(a[::2], wa[::2], b[1::2], wb[1::2]))
+        try:
+            _check_halving(ha * hb * fine_sum, 4.0 * ha * hb * coarse_sum, lambda i: "oracle body")
+            break
+        except NumericsError:
+            if level == _ORACLE_HALVINGS:
+                raise
+        coarse_sum, ha, hb = fine_sum, ha / 2, hb / 2
+        wa, wb = (np.r_[0.5, np.ones(2 * len(w) - 3), 0.5] for w in (wa, wb))
+        a, b = lo_a + ha * np.arange(len(wa)), lo_b + hb * np.arange(len(wb))
+    return float(min(head + math.exp(top) * ha[0] * hb[0] * fine_sum, 1.0))
 
 
 # -- closed-form lower bound ------------------------------------------------

@@ -18,7 +18,6 @@ from fdnoma import (
     BaselineConfig,
     default_config,
     derive_constants,
-    estimate,
     estimate_all_users,
     fd_thresholds_rate_matched,
     hd_outage_all,
@@ -31,7 +30,8 @@ from fdnoma import (
 )
 from fdnoma.channel import draw_batch, seeded_stream
 from fdnoma.cli import SweepSpec, run_sweep
-from fdnoma.config import config_to_dict
+from fdnoma.config import config_to_dict, gamma_laws
+from fdnoma.montecarlo import Job, _estimate
 
 pytestmark = pytest.mark.acceptance
 
@@ -98,12 +98,19 @@ def triangle_grid():
             skipped["outside band"] += 1
             continue
         rows.append((cfg, user, exact))
-    out = []
-    for cfg, user, exact in rows:
-        oracle = op_oracle_2d(cfg, user)
-        lb = op_lower_bound(cfg, user)
-        mc = estimate(cfg, user, trials=TRIANGLE_TRIALS, seed=20240817, partitions=8)
-        out.append((cfg, user, exact, oracle, lb, mc))
+    # One engine call per set of fading shapes draws each stream once; every
+    # estimate equals its own estimate(cfg, user, ...) call bit for bit.
+    groups = {}
+    for i, (cfg, user, _) in enumerate(rows):
+        dc = derive_constants(cfg)
+        groups.setdefault(gamma_laws(dc)[0], []).append((i, Job(dc, (user,), "mc")))
+    mc = [None] * len(rows)
+    for members in groups.values():
+        index, jobs = zip(*members)
+        for i, (est,) in zip(index, _estimate(list(jobs), TRIANGLE_TRIALS, 20240817, 8)):
+            mc[i] = est
+    out = [(cfg, user, exact, op_oracle_2d(cfg, user), op_lower_bound(cfg, user), est)
+           for (cfg, user, exact), est in zip(rows, mc)]
     return out, skipped
 
 
@@ -149,9 +156,11 @@ def test_criterion_03_duplexing_crossovers():
     hd = {e.user: e.op_value for e in hd_outage_all(bcfg, trials, seed=seed, users=(2, 3))}
     mus = np.round(np.arange(0.0, 1.0001, 0.01), 2)
     curves = {2: [], 3: []}
-    for m in mus:
-        cfg = replace(base, li_quality_mu=float(m))
-        for e in estimate_all_users(cfg, trials, seed=seed, users=(2, 3)):
+    # one engine call draws the stream once for all 101 mu points, each
+    # estimate equal to its own estimate_all_users call bit for bit
+    jobs = [Job(derive_constants(replace(base, li_quality_mu=float(m))), (2, 3), "mc") for m in mus]
+    for cells in _estimate(jobs, trials, seed, 1):
+        for e in cells:
             curves[e.user].append(e.op_value)
     stars = {}
     for u in (2, 3):

@@ -253,8 +253,9 @@ class TestExactVsOracle:
             op_oracle_2d(default_config(li_quality_mu=0.2, snr_db=30.0), 1)
 
     def test_oracle_unresolved_body_raises(self, monkeypatch):
-        # one node per unit of log gain cannot resolve the bump to 1e-12
+        # one node per unit of log gain, not refined, cannot resolve the bump to 1e-12
         monkeypatch.setattr(analytic, "_ORACLE_STEP", 1.0)
+        monkeypatch.setattr(analytic, "_ORACLE_HALVINGS", 0)
         with pytest.raises(NumericsError, match="step-halving"):
             op_oracle_2d(default_config(li_quality_mu=0.2, snr_db=30.0), 1)
 
@@ -262,8 +263,10 @@ class TestExactVsOracle:
         monkeypatch.setattr(analytic, "_REL_TOL", 1e-30)
         with pytest.raises(NumericsError, match="step-halving"):
             tail_weight_integral(0, 0.5, 0.2, 0.1, 1)
+        # a point whose fine and coarse oracle sums differ at every step down
+        # to the floor (at mu 0.2 they round to the same double at step 0.1)
         with pytest.raises(NumericsError, match="step-halving"):
-            op_oracle_2d(default_config(li_quality_mu=0.2, snr_db=30.0), 1)
+            op_oracle_2d(default_config(li_quality_mu=0.5, snr_db=30.0), 1)
 
     def test_cancellation_guard_raises_deep_in_tail(self):
         cfg = default_config(li_quality_mu=0.2, tx_antennas=2, rx_antennas=2, snr_db=120.0)
@@ -290,6 +293,22 @@ class TestDeepTail:
     @pytest.mark.parametrize("snr_db", sorted(DEEP_TAIL))
     def test_oracle_matches_logaxis_reference(self, snr_db):
         assert op_oracle_2d(deep_tail_config(snr_db), 1) == pytest.approx(DEEP_TAIL[snr_db], rel=1e-9)
+
+    def test_oracle_refines_by_halving(self, monkeypatch):
+        # from step 0.4 the check fails at 0.4 and 0.2, so the value comes
+        # from two halvings that reuse every node already evaluated
+        cases = [(default_config(li_quality_mu=0.2, snr_db=30.0), None)]
+        cases += [(deep_tail_config(snr_db), DEEP_TAIL[snr_db]) for snr_db in sorted(DEEP_TAIL)]
+        default = [op_oracle_2d(cfg, 1) for cfg, _ in cases]
+        monkeypatch.setattr(analytic, "_ORACLE_STEP", 0.4)
+        for (cfg, pinned), want in zip(cases, default):
+            got = op_oracle_2d(cfg, 1)
+            assert got == pytest.approx(want, rel=1e-13)
+            if pinned is not None:
+                assert got == pytest.approx(pinned, rel=1e-9)
+        monkeypatch.setattr(analytic, "_ORACLE_HALVINGS", 1)
+        with pytest.raises(NumericsError, match="step-halving"):
+            op_oracle_2d(cases[0][0], 1)
 
     def test_oracle_holds_body_within_one_over_snr_of_floor(self):
         # 2x2, mu 0.2, 60 dB, user 3: the body sits within ~1/SNR of the floor c
