@@ -2,15 +2,19 @@
 
 Both baselines reuse the same channel statistics and run Monte Carlo
 only.  Neither has an outage event of its own: each is the system's
-:func:`~fdnoma.sidnr.outage_mask` on a transformed configuration: a job
-(:func:`hd_job`, :func:`oma_job`) of the shared engine in :mod:`fdnoma.montecarlo`.
+:func:`~fdnoma.sidnr.outage_mask` on a transform of the one
+:class:`~fdnoma.config.SystemConfig`, as a job (:func:`hd_job`,
+:func:`oma_job`) of the shared engine in :mod:`fdnoma.montecarlo`.  Their
+thresholds are the config's optional keys ``hd_thresholds`` and
+``oma_threshold``, so they are validated and hashed with the rest.
 
 * Half-duplex NOMA is the system with the thresholds replaced by
-  ``hd_thresholds``, drawn without the loop-interference block
-  (``include_li=False``).  By default the thresholds equal the
-  full-duplex ones (the comparison convention that keeps every stage
-  feasible); the rate-matched alternative, where one half-duplex channel
-  use must carry what two full-duplex uses carry, is available through
+  ``hd_thresholds`` and zero loop-interference power: its derived
+  constants carry ``power_li = 0``, so its draws see ``g3 = 0``.  By
+  default the thresholds equal the full-duplex ones (the comparison
+  convention that keeps every stage feasible); the rate-matched
+  alternative, where one half-duplex channel use must carry what two
+  full-duplex uses carry, is available through
   :func:`hd_thresholds_rate_matched`.  No prelog factor is applied: with
   thresholds fixed, the outage comparison is threshold-to-threshold.
 * Full-duplex OMA serves each user alone: user ``l`` is user 1 of a
@@ -18,7 +22,7 @@ only.  Neither has an outage event of its own: each is the system's
   SIC; threshold ``oma_threshold``; that user's ``m_ru`` and ``d_ru``),
   with the loop-interference term kept.  The threshold defaults to the
   rate-sum equivalent ``prod(1 + thr_l) - 1``.  Each user keeps its own,
-  unordered channel (``sort=False`` draws): orthogonal access has no
+  unordered channel (an unsorted job): orthogonal access has no
   ordering-based power allocation, so the multiuser-diversity boost of
   the ordered gains belongs to the NOMA side only.
 """
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .config import ConfigError, SystemConfig, _check_real, derive_constants
+from .config import ConfigError, SystemConfig, derive_constants
 from .montecarlo import Job, _estimate
 from .sidnr import outage_mask
 
@@ -69,56 +73,40 @@ def oma_threshold_rate_sum(fd_thresholds) -> float:
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """A comparison system derived from a full-duplex NOMA configuration.
-
-    ``hd_thresholds`` defaults to the base thresholds; ``oma_threshold``
-    defaults to the rate-sum equivalent.
-    """
+    """A comparison system derived from a full-duplex NOMA configuration;
+    its thresholds are the base config's ``hd_thresholds`` and
+    ``oma_threshold``."""
 
     base: SystemConfig
     mode: str  # "hd_noma" or "fd_oma"
-    hd_thresholds: tuple[float, ...] | None = None
-    oma_threshold: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("hd_noma", "fd_oma"):
             raise ConfigError(f"unknown baseline mode {self.mode!r}")
-        if self.mode == "hd_noma":
-            thr = self.hd_thresholds
-            if thr is None:
-                thr = self.base.thresholds
-            thr = tuple(float(t) for t in _check_real("hd_thresholds", thr))
-            if len(thr) != self.base.num_users or any(t <= 0 for t in thr):
-                raise ConfigError("hd_thresholds needs one positive entry per user")
-            object.__setattr__(self, "hd_thresholds", thr)
-        else:
-            t = self.oma_threshold
-            if t is None:
-                t = oma_threshold_rate_sum(self.base.thresholds)
-            t = float(_check_real("oma_threshold", t))
-            if t <= 0:
-                raise ConfigError("oma_threshold must be positive")
-            object.__setattr__(self, "oma_threshold", t)
 
 
 def hd_job(bcfg: BaselineConfig, users=None) -> Job:
-    """The half-duplex NOMA system as a Monte Carlo job."""
+    """The half-duplex NOMA system as a Monte Carlo job: the base system
+    at ``hd_thresholds`` (default: its own) with no loop interference."""
     if bcfg.mode != "hd_noma":
         raise ConfigError("hd_outage_all requires a hd_noma baseline config")
-    dc = derive_constants(replace(bcfg.base, thresholds=bcfg.hd_thresholds))
-    return Job(dc, users, "hd", include_li=False)
+    base = bcfg.base
+    dc = derive_constants(replace(base, thresholds=base.hd_thresholds or base.thresholds))
+    return Job(replace(dc, power_li=0.0), users, "hd")
 
 
 def oma_job(bcfg: BaselineConfig, users=None) -> Job:
-    """The full-duplex OMA system as a Monte Carlo job."""
+    """The full-duplex OMA system as a Monte Carlo job; the threshold is
+    ``oma_threshold``, by default the rate sum of the base thresholds."""
     if bcfg.mode != "fd_oma":
         raise ConfigError("oma_outage_all requires a fd_oma baseline config")
     base = bcfg.base
+    thr = base.oma_threshold or oma_threshold_rate_sum(base.thresholds)
     solo = [
         derive_constants(
             replace(
-                base, num_users=1, power_coeffs=(1.0,), thresholds=(bcfg.oma_threshold,),
-                m_ru=(m,), d_ru=(d,),
+                base, num_users=1, power_coeffs=(1.0,), thresholds=(thr,),
+                m_ru=(m,), d_ru=(d,), hd_thresholds=None, oma_threshold=None,
             )
         )
         for m, d in zip(base.m_ru, base.d_ru)

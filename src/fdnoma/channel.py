@@ -2,7 +2,7 @@
 
 A batch of realizations is the triple (first-hop beamforming gains,
 per-user combining gains with one row per realization, loop-interference
-gains); each row of user gains is in ascending order unless drawn with
+gains); each row of user gains is in ascending order unless scaled with
 ``sort=False``.  Gains are drawn as
 Gamma variates directly: for integer Nakagami shape the squared MRT/MRC
 norms are exactly Gamma, and sampling the norm is far cheaper than
@@ -20,7 +20,10 @@ configuration with the same shapes can share one block's unit draws.
 Streams are counter-based (Philox) and keyed by ``(seed, substream)``:
 the same key always reproduces the same draws, and distinct substreams
 are statistically independent, so trial blocks can run in any order or
-in parallel with identical aggregate results.
+in parallel with identical aggregate results.  Constants that carry no
+loop interference (``power_li = 0``, the half-duplex system) skip the
+loop-interference block: the stream stops after the user blocks and the
+loop-interference gain is the scalar 0.0.
 """
 
 from __future__ import annotations
@@ -46,9 +49,10 @@ def seeded_stream(seed: int, substream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def draw_units(shapes, rng: np.random.Generator, size: int, include_li: bool = True):
+def draw_units(shapes, rng: np.random.Generator, size: int, include_li: bool):
     """One block's unit-scale variates (first hop, users[size, L], loop
-    interference or None), in the stream layout contract order."""
+    interference or, without ``include_li``, None), in the stream layout
+    contract order."""
     k1, k2, k3 = shapes
     unit_sr = rng.standard_gamma(k1, size)
     units_ru = np.empty((size, len(k2)))
@@ -65,23 +69,14 @@ def scale_users(units_ru: np.ndarray, scales, sort: bool = True) -> np.ndarray:
     return gains_ru
 
 
-def draw_batch(
-    dc: DerivedConstants,
-    rng: np.random.Generator,
-    size: int,
-    include_li: bool = True,
-    sort: bool = True,
-):
+def draw_batch(dc: DerivedConstants, rng: np.random.Generator, size: int):
     """Vectorized draws: (gain_sr[size], gains_ru[size, L], gain_li).
 
     Stream layout contract (fixed so results are reproducible): the
     first-hop block, then one block per user in user order, then the
-    loop-interference block.  ``include_li=False`` skips the final block
-    (half-duplex operation) and returns 0.0 in its place.  With
-    ``sort=False`` the user gains stay in draw order (each user keeps its
-    own channel; used by the orthogonal-access baseline, which has no
-    ordering-based power allocation).
+    loop-interference block, which is skipped (and 0.0 returned in its
+    place) when ``dc`` carries no loop-interference power.
     """
     shapes, (s1, s2, s3) = gamma_laws(dc)
-    unit_sr, units_ru, unit_li = draw_units(shapes, rng, size, include_li)
-    return s1 * unit_sr, scale_users(units_ru, s2, sort), (s3 * unit_li if include_li else 0.0)
+    unit_sr, units_ru, unit_li = draw_units(shapes, rng, size, s3 > 0)
+    return s1 * unit_sr, scale_users(units_ru, s2), (s3 * unit_li if s3 > 0 else 0.0)

@@ -27,14 +27,7 @@ import scipy
 from . import __version__
 from .analytic import NumericsError, op_asymptotic, op_exact, op_lower_bound
 from .baselines import BaselineConfig, hd_job, oma_job
-from .config import (
-    ConfigError,
-    SystemConfig,
-    config_hash,
-    derive_constants,
-    load_config,
-    load_config_extras,
-)
+from .config import ConfigError, SystemConfig, config_hash, derive_constants, load_config
 from .montecarlo import Job, _estimate
 
 __all__ = ["SweepSpec", "run_sweep", "validate_config", "main"]
@@ -132,17 +125,16 @@ def run_sweep(config_path, spec: SweepSpec, out_path) -> None:
     time is spent.  One engine call runs every job, drawing each block
     once for the sweep.
     """
-    cfg, extras = load_config_extras(config_path)
+    cfg = load_config(config_path)
     for u in spec.users:
         if not 1 <= u <= cfg.num_users:
             raise ConfigError(f"user {u} outside 1..{cfg.num_users}")
     values = spec.grid()
     points = [_apply_variable(cfg, spec.variable, v) for v in values]
-    hd_thr, oma_thr = extras.get("hd_thresholds"), extras.get("oma_threshold")
     builders = {
         "mc": lambda c: Job(derive_constants(c), spec.users, "mc"),
-        "hd": lambda c: hd_job(BaselineConfig(c, "hd_noma", hd_thresholds=hd_thr), spec.users),
-        "oma": lambda c: oma_job(BaselineConfig(c, "fd_oma", oma_threshold=oma_thr), spec.users),
+        "hd": lambda c: hd_job(BaselineConfig(c, "hd_noma"), spec.users),
+        "oma": lambda c: oma_job(BaselineConfig(c, "fd_oma"), spec.users),
     }
     jobs = [(i, builders[m](c)) for i, c in enumerate(points) for m in spec.methods if m in builders]
 
@@ -223,10 +215,7 @@ def validate_config(config_path, stream=None) -> int:
     """
     stream = sys.stdout if stream is None else stream
     try:
-        cfg, extras = load_config_extras(config_path)
-        # the baseline keys get the checks an hd or oma sweep applies
-        BaselineConfig(base=cfg, mode="hd_noma", hd_thresholds=extras.get("hd_thresholds"))
-        BaselineConfig(base=cfg, mode="fd_oma", oma_threshold=extras.get("oma_threshold"))
+        cfg = load_config(config_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=stream)
         return 1

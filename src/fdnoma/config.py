@@ -51,6 +51,7 @@ __all__ = [
 POWER_SUM_TOL = 1e-12
 _LIST_KEYS = {"power_coeffs", "thresholds", "hd_thresholds"}  # one entry per user
 _PER_USER_KEYS = _LIST_KEYS | {"m_ru", "d_ru"}  # these two also take one shared scalar
+_OPTIONAL_KEYS = {"hd_thresholds", "oma_threshold"}  # None: the comparison system's default
 
 
 class ConfigError(ValueError):
@@ -90,7 +91,10 @@ class SystemConfig:
     power over unit noise power).  ``power_coeffs`` must sum to one and be
     strictly decreasing; ``thresholds`` are the per-user linear SIDNR
     targets for full-duplex operation.  ``m_ru`` and ``d_ru`` accept a
-    scalar (shared by all users) or one value per user.
+    scalar (shared by all users) or one value per user.  The optional
+    ``hd_thresholds`` (one per user) and ``oma_threshold`` are the targets
+    of the comparison systems in :mod:`fdnoma.baselines`; ``None`` leaves
+    the baseline's default.
     """
 
     num_users: int
@@ -112,10 +116,13 @@ class SystemConfig:
     sigma_e_ru_sq: float
     sigma_ipsic_sq: float
     snr_db: float
+    hd_thresholds: tuple[float, ...] | None = None
+    oma_threshold: float | None = None
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            _check_real(name, getattr(self, name))
+            if not (name in _OPTIONAL_KEYS and getattr(self, name) is None):
+                _check_real(name, getattr(self, name))
         n = int(self.num_users)
         object.__setattr__(self, "num_users", n)
         if n < 1:
@@ -158,6 +165,15 @@ class SystemConfig:
             raise ConfigError("power coefficients must be strictly decreasing")
         if any(v <= 0 for v in g):
             raise ConfigError("thresholds must be positive")
+        if self.hd_thresholds is not None:
+            hd = tuple(float(v) for v in self.hd_thresholds)
+            if len(hd) != n or any(v <= 0 for v in hd):
+                raise ConfigError("hd_thresholds needs one positive entry per user")
+            object.__setattr__(self, "hd_thresholds", hd)
+        if self.oma_threshold is not None:
+            if self.oma_threshold <= 0:
+                raise ConfigError("oma_threshold must be positive")
+            object.__setattr__(self, "oma_threshold", float(self.oma_threshold))
 
         if self.kappa_sr < 0 or self.kappa_ru < 0:
             raise ConfigError("impairment levels kappa must be non-negative")
@@ -184,11 +200,11 @@ class SystemConfig:
 class DerivedConstants:
     """Constants shared by the analytic and simulation engines.
 
-    Stage arrays are indexed 0..L-1 for decode stages 1..L.  ``margin[j]``
-    is ``a_j - gamma_th_j * (iui[j] + ipsic[j] + rhi_mix)``: the share of
-    desired power left after the threshold claims interference, residual
-    SIC leakage and distortion.  ``demand[j]`` is
-    ``gamma_th_j / (snr_lin * margin[j])``, the channel-gain level the
+    Stage arrays are indexed 0..L-1 for decode stages 1..L.  The margin
+    ``margin_j = a_j - gamma_th_j * (iui[j] + ipsic[j] + rhi_mix)`` is the
+    share of desired power left after the threshold claims interference,
+    residual SIC leakage and distortion.  ``demand[j]`` is
+    ``gamma_th_j / (snr_lin * margin_j)``, the channel-gain level the
     decode stage requires; it is ``inf`` when the stage is infeasible.
     ``demand_peak[l-1]`` is the running maximum over stages ``j <= l``
     and drives every outage expression.  Instances are immutable and safe
@@ -198,7 +214,6 @@ class DerivedConstants:
     cfg: SystemConfig
     snr_lin: float
     power_sr: float          # mean squared S-R channel gain per antenna
-    power_ru: np.ndarray     # per user, second hop
     power_li: float          # residual loop-interference power
     power_sr_est: float      # estimated (true minus CEE variance)
     power_ru_est: np.ndarray
@@ -209,7 +224,6 @@ class DerivedConstants:
     rhi_amp: float           # distortion amplification of noise terms
     sr_derate: float         # first-hop distortion de-rating of the LI term
     noise_sr: float          # effective noise + CEE at the relay input
-    margin: np.ndarray
     demand: np.ndarray
     demand_peak: np.ndarray
     feasible: np.ndarray     # per user: all stages j <= l have margin > 0
@@ -254,7 +268,6 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
         cfg=cfg,
         snr_lin=g,
         power_sr=power_sr,
-        power_ru=power_ru,
         power_li=power_li,
         power_sr_est=power_sr_est,
         power_ru_est=power_ru_est,
@@ -265,7 +278,6 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
         rhi_amp=rhi_amp,
         sr_derate=sr_derate,
         noise_sr=noise_sr,
-        margin=margin,
         demand=demand,
         demand_peak=demand_peak,
         feasible=feasible,
@@ -322,37 +334,27 @@ def default_config(**overrides) -> SystemConfig:
 
 # -- config file handling ---------------------------------------------------
 
-_OPTIONAL_KEYS = {"hd_thresholds", "oma_threshold"}
-
 
 def config_to_dict(cfg: SystemConfig) -> dict:
+    """Plain JSON-ready dict; an unset optional key is left out, so it
+    does not enter the config hash."""
     d = asdict(cfg)
-    d["power_coeffs"] = list(cfg.power_coeffs)
-    d["thresholds"] = list(cfg.thresholds)
-    d["m_ru"] = list(cfg.m_ru)
-    d["d_ru"] = list(cfg.d_ru)
-    return d
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items() if v is not None}
 
 
 def config_from_dict(data: dict) -> SystemConfig:
     fields = set(SystemConfig.__dataclass_fields__)
-    extra = set(data) - fields - _OPTIONAL_KEYS
+    extra = set(data) - fields
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    missing = fields - set(data)
+    missing = fields - _OPTIONAL_KEYS - set(data)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    return SystemConfig(**{k: v for k, v in data.items() if k in fields})
+    return SystemConfig(**data)
 
 
 def load_config(path) -> SystemConfig:
     """Read a flat JSON key-value file; raises ConfigError on any defect."""
-    return load_config_extras(path)[0]
-
-
-def load_config_extras(path) -> tuple[SystemConfig, dict]:
-    """Like :func:`load_config`, also returning the optional baseline
-    keys (``hd_thresholds``, ``oma_threshold``) present in the file."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -362,8 +364,7 @@ def load_config_extras(path) -> tuple[SystemConfig, dict]:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
-    extras = {k: data[k] for k in _OPTIONAL_KEYS if k in data}
-    return config_from_dict(data), extras
+    return config_from_dict(data)
 
 
 def config_hash(cfg: SystemConfig) -> str:

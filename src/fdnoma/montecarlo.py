@@ -9,7 +9,7 @@ argument controls scheduling concurrency and can never change a result.
 One private engine, :func:`_estimate`, runs every Monte Carlo figure:
 the full-duplex NOMA system here and both comparison systems in
 :mod:`fdnoma.baselines`, which differ only in the derived constants,
-the draw options and the per-user mask of their :class:`Job`.  One call
+the user-gain ordering and the per-user mask of their :class:`Job`.  One call
 serves a whole sweep (every grid point and method) from one stream: each
 block's unit Gamma draws are made once and scaled to every job, which
 gives each job the counts of a separate run, bit for bit.
@@ -62,13 +62,14 @@ def _run_blocks(kernel, trials: int, partitions: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Job:
     """One Monte Carlo figure: ``mask(g1, g2, g3, dc, user)`` marks the
-    outages of ``users`` (default all) among draws scaled to ``dc``."""
+    outages of ``users`` (default all) among draws scaled to ``dc``.  A
+    ``dc`` with zero loop-interference power (half duplex) sees
+    ``g3 = 0.0``; ``sort=False`` keeps the user gains in draw order."""
 
     dc: DerivedConstants
     users: tuple[int, ...] | None
     method: str
     mask: Callable = outage_mask
-    include_li: bool = True
     sort: bool = True
 
     def __post_init__(self):
@@ -93,7 +94,7 @@ def _estimate(jobs: list[Job], trials, seed, partitions) -> list[list[OutageEsti
     laws = [gamma_laws(job.dc) for job in jobs]
     if len({shape for shape, _ in laws}) != 1:
         raise ValueError(f"jobs must share one set of fading shapes, got {[s for s, _ in laws]}")
-    shapes, include_li = laws[0][0], any(job.include_li for job in jobs)
+    shapes, include_li = laws[0][0], any(scales[2] > 0 for _, scales in laws)
     groups = {}  # jobs whose user gains scale and sort alike share one gain matrix
     for i, (job, (_, scales)) in enumerate(zip(jobs, laws)):
         groups.setdefault((scales[1], job.sort), []).append(i)
@@ -108,7 +109,7 @@ def _estimate(jobs: list[Job], trials, seed, partitions) -> list[list[OutageEsti
                 g2 = scale_users(units_ru, scales_ru, sort)
                 for i in members:
                     job, (s1, _, s3) = jobs[i], laws[i][1]
-                    g1, g3 = s1 * unit_sr, (s3 * unit_li if job.include_li else 0.0)
+                    g1, g3 = s1 * unit_sr, (s3 * unit_li if s3 > 0 else 0.0)
                     counts[i] += [np.count_nonzero(job.mask(g1, g2, g3, job.dc, u)) for u in job.users]
         return np.concatenate(counts)
 

@@ -150,8 +150,9 @@ def test_criterion_03_duplexing_crossovers():
         tx_antennas=2,
         rx_antennas=2,
         thresholds=fd_thresholds_rate_matched(hd_thr),
+        hd_thresholds=hd_thr,
     )
-    bcfg = BaselineConfig(base=base, mode="hd_noma", hd_thresholds=hd_thr)
+    bcfg = BaselineConfig(base=base, mode="hd_noma")
     trials, seed = 1_000_000, 11
     hd = {e.user: e.op_value for e in hd_outage_all(bcfg, trials, seed=seed, users=(2, 3))}
     mus = np.round(np.arange(0.0, 1.0001, 0.01), 2)

@@ -7,6 +7,7 @@ from fdnoma import (
     BaselineConfig,
     ConfigError,
     default_config,
+    derive_constants,
     estimate_all_users,
     fd_thresholds_rate_matched,
     hd_outage_all,
@@ -14,6 +15,9 @@ from fdnoma import (
     oma_outage_all,
     oma_threshold_rate_sum,
 )
+from fdnoma import montecarlo
+from fdnoma.baselines import hd_job, oma_job
+from fdnoma.montecarlo import Job, _estimate
 
 
 def test_threshold_mappings_roundtrip():
@@ -29,14 +33,22 @@ def test_oma_rate_sum_threshold():
 
 
 def test_baseline_defaults_and_validation(ideal_cfg):
-    b = BaselineConfig(base=ideal_cfg, mode="hd_noma")
-    assert b.hd_thresholds == ideal_cfg.thresholds
-    b = BaselineConfig(base=ideal_cfg, mode="fd_oma")
-    assert b.oma_threshold == pytest.approx(13.25)
+    # half duplex: the base thresholds and no loop interference
+    job = hd_job(BaselineConfig(base=ideal_cfg, mode="hd_noma"))
+    assert job.dc.cfg.thresholds == ideal_cfg.thresholds
+    assert job.dc.power_li == 0.0
+    # orthogonal access: the rate-sum threshold, 13.25 for (0.9, 1.5, 2)
+    default, explicit = (
+        oma_job(BaselineConfig(base=c, mode="fd_oma"))
+        for c in (ideal_cfg, replace(ideal_cfg, oma_threshold=13.25))
+    )
+    a, b = _estimate([default, explicit], 50_000, 4, 1)
+    assert [e.op_value for e in a] == [e.op_value for e in b]
+    assert 0.0 < a[0].op_value < 1.0
     with pytest.raises(ConfigError):
         BaselineConfig(base=ideal_cfg, mode="tdma")
     with pytest.raises(ConfigError):
-        BaselineConfig(base=ideal_cfg, mode="hd_noma", hd_thresholds=(1.0,))
+        replace(ideal_cfg, hd_thresholds=(1.0,))
     with pytest.raises(ConfigError):
         hd_outage_all(BaselineConfig(base=ideal_cfg, mode="fd_oma"), 10)
     with pytest.raises(ConfigError):
@@ -53,6 +65,38 @@ def test_hd_equals_fd_when_loop_interference_vanishes():
     for f, h in zip(fd_est, hd_est):
         sigma = np.hypot(f.std_error, h.std_error)
         assert abs(f.op_value - h.op_value) <= 3 * max(sigma, 1e-9)
+
+
+def _record_draws(monkeypatch):
+    calls = []
+    real = montecarlo.draw_units
+
+    def recording(shapes, rng, size, include_li):
+        calls.append(include_li)
+        return real(shapes, rng, size, include_li)
+
+    monkeypatch.setattr(montecarlo, "draw_units", recording)
+    return calls
+
+
+def test_hd_draws_loop_interference_only_next_to_a_full_duplex_job(monkeypatch):
+    # an hd-only run skips the loop-interference block; next to an mc job
+    # the block is drawn, and the hd counts stay those of the hd-only run
+    cfg = default_config(snr_db=12.0, kappa_sr=0.1, kappa_ru=0.05, sigma_e_sr_sq=0.01,
+                         sigma_ipsic_sq=0.05, tx_antennas=2, rx_antennas=2)
+    calls = _record_draws(monkeypatch)
+    trials = montecarlo.BLOCK_TRIALS + 5000
+    alone = hd_outage_all(BaselineConfig(base=cfg, mode="hd_noma"), trials, seed=13)
+    assert calls == [False, False]
+    calls.clear()
+    mc, mixed = _estimate(
+        [Job(derive_constants(cfg), None, "mc"), hd_job(BaselineConfig(base=cfg, mode="hd_noma"))],
+        trials, 13, 2,
+    )
+    assert calls == [True, True]
+    assert [e.op_value for e in mixed] == [e.op_value for e in alone]
+    assert all(0.0 < e.op_value < 1.0 for e in alone)
+    assert [e.op_value for e in mc] != [e.op_value for e in alone]
 
 
 def test_hd_ignores_loop_interference_quality():
@@ -84,7 +128,7 @@ def test_oma_independent_of_power_coefficients():
 
 def test_oma_vanishing_threshold_no_outage():
     cfg = default_config(li_quality_mu=0.2, snr_db=40.0)
-    b = BaselineConfig(base=cfg, mode="fd_oma", oma_threshold=1e-6)
+    b = BaselineConfig(base=replace(cfg, oma_threshold=1e-6), mode="fd_oma")
     est = oma_outage_all(b, trials=100_000, seed=8, users=(1,))[0]
     assert est.op_value < 1e-4
 

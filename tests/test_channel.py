@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from fdnoma import default_config, derive_constants, draw_batch, ordered_sf, seeded_stream
+from fdnoma.channel import draw_units
+from fdnoma.config import gamma_laws
 
 
 def test_same_key_reproduces_identical_draws(ideal_cfg):
@@ -12,6 +16,20 @@ def test_same_key_reproduces_identical_draws(ideal_cfg):
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
     assert np.array_equal(a[2], b[2])
+
+
+def test_zero_loop_interference_skips_its_block(ideal_cfg):
+    # constants without loop-interference power (half duplex) draw the same
+    # first-hop and user blocks, then stop: g3 is the scalar 0.0 and the
+    # stream is left where the loop-interference block would begin
+    dc = derive_constants(ideal_cfg)
+    full_rng, hd_rng = seeded_stream(1, 0), seeded_stream(1, 0)
+    full = draw_batch(dc, full_rng, 1000)
+    hd = draw_batch(replace(dc, power_li=0.0), hd_rng, 1000)
+    assert hd[0].tobytes() == full[0].tobytes() and hd[1].tobytes() == full[1].tobytes()
+    assert hd[2] == 0.0 and isinstance(hd[2], float)
+    unit_li = draw_units(gamma_laws(dc)[0], seeded_stream(1, 0), 1000, True)[2]
+    assert hd_rng.standard_gamma(ideal_cfg.m_li, 1000).tobytes() == unit_li.tobytes()
 
 
 def test_different_seed_or_substream_differs(ideal_cfg):

@@ -384,12 +384,41 @@ def test_validate_checks_baseline_keys(tmp_path, capsys, key, value, message):
     p.write_text(json.dumps(d))
     assert main(["--config", str(p), "--validate"]) == 1
     assert f"config error: {message}" in capsys.readouterr().out
-    method = "hd" if key == "hd_thresholds" else "oma"
     out = tmp_path / "x.csv"
-    argv = ["--config", str(p), "--sweep", "snr_db=0:10:5", "--methods", method, "--trials", "100"]
-    assert main([*argv, "--out", str(out)]) == 1
-    assert f"config error: {message}" in capsys.readouterr().err
-    assert not out.exists()
+    # the keys belong to the config, so a sweep that does not use them
+    # rejects the file too
+    for method in ("hd" if key == "hd_thresholds" else "oma", "mc"):
+        argv = ["--config", str(p), "--sweep", "snr_db=0:10:5", "--methods", method, "--trials", "100"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, values, method",
+    [("hd_thresholds", ([0.8, 1.2, 1.9], [1.0, 1.6, 2.4]), "hd"), ("oma_threshold", (4.0, 9.0), "oma")],
+)
+def test_baseline_keys_enter_config_hash(tmp_path, key, values, method):
+    # files that differ only in a baseline key write different hashes over
+    # their different columns; null reads as the absent key
+    def sweep(name, value):
+        d = config_to_dict(default_config())
+        if value != "absent":
+            d[key] = value
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(d))
+        out = tmp_path / f"{name}.csv"
+        spec = SweepSpec("snr_db", 10.0, 20.0, 10.0, (method,), (1, 2, 3), trials=20_000, seed=3)
+        run_sweep(p, spec, out)
+        lines = out.read_text().splitlines()
+        return next(l for l in lines if l.startswith("# config_hash:")), lines[-2:]
+
+    (h_a, rows_a), (h_b, rows_b) = sweep("a", values[0]), sweep("b", values[1])
+    assert h_a != h_b and rows_a != rows_b
+    absent, null = sweep("absent", "absent"), sweep("null", None)
+    assert absent == null
+    assert absent[0] == "# config_hash: 7a52c5050c37b1bb"
+    assert h_a != absent[0] != h_b
 
 
 def _exact_cells(path):
@@ -412,12 +441,10 @@ def test_sweep_mc_cells_equal_separate_engine_calls(tmp_path, monkeypatch, sweep
     cfg = default_config(
         tx_antennas=2, rx_antennas=2, li_quality_mu=0.3, kappa_sr=0.05, kappa_ru=0.05,
         m_ru=(1, 2, 1), d_ru=0.5 if variable == "d_sr" else (0.4, 0.5, 0.6),  # d_sr sets every d_ru
+        hd_thresholds=(0.8, 1.2, 1.9), oma_threshold=4.0,
     )
-    d = config_to_dict(cfg)
-    d["hd_thresholds"] = [0.8, 1.2, 1.9]
-    d["oma_threshold"] = 4.0
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(d))
+    p.write_text(json.dumps(config_to_dict(cfg)))
     start, stop, step = (float(v) for v in rest.split(":"))
     trials, seed = BLOCK_TRIALS + 1000, 19  # the second block is a remainder block
     users = (1, 2, 3)
@@ -430,11 +457,9 @@ def test_sweep_mc_cells_equal_separate_engine_calls(tmp_path, monkeypatch, sweep
         row = {}
         for e in estimate_all_users(pt, trials, seed, 1, users):
             row[f"user{e.user}_mc"], row[f"user{e.user}_mc_stderr"] = e.op_value, e.std_error
-        hd = BaselineConfig(base=pt, mode="hd_noma", hd_thresholds=d["hd_thresholds"])
-        for e in hd_outage_all(hd, trials, seed, 1, users):
+        for e in hd_outage_all(BaselineConfig(base=pt, mode="hd_noma"), trials, seed, 1, users):
             row[f"user{e.user}_hd"] = e.op_value
-        oma = BaselineConfig(base=pt, mode="fd_oma", oma_threshold=d["oma_threshold"])
-        for e in oma_outage_all(oma, trials, seed, 1, users):
+        for e in oma_outage_all(BaselineConfig(base=pt, mode="fd_oma"), trials, seed, 1, users):
             row[f"user{e.user}_oma"] = e.op_value
         expected.append(row)
     assert any(0.0 < x < 1.0 for row in expected for x in row.values())

@@ -144,6 +144,31 @@ def test_config_roundtrip_and_hash(tmp_path):
     assert h != config_hash(replace(cfg, kappa_ru=0.01))
 
 
+def test_baseline_keys_are_optional_config_fields(tmp_path):
+    import json
+
+    cfg = default_config()
+    assert (cfg.hd_thresholds, cfg.oma_threshold) == (None, None)
+    d = config_to_dict(cfg)
+    assert "hd_thresholds" not in d and "oma_threshold" not in d
+    assert config_hash(cfg) == "7a52c5050c37b1bb"  # unset keys leave every hash as it was
+    assert config_from_dict({**d, "hd_thresholds": None, "oma_threshold": None}) == cfg
+
+    both = replace(cfg, hd_thresholds=[1, 2, 3], oma_threshold=4)
+    assert (both.hd_thresholds, both.oma_threshold) == ((1.0, 2.0, 3.0), 4.0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_to_dict(both)))
+    assert load_config(path) == both
+    assert len({config_hash(c) for c in (cfg, both, replace(both, oma_threshold=None))}) == 3
+
+    with pytest.raises(ConfigError, match="kappa_sr must be a number"):
+        config_from_dict({**d, "kappa_sr": None})  # null only for the optional keys
+    with pytest.raises(ConfigError, match="hd_thresholds must be a list"):
+        replace(cfg, hd_thresholds=1.5)
+    with pytest.raises(ConfigError, match="oma_threshold must be a number"):
+        replace(cfg, oma_threshold=[4.0])
+
+
 def test_config_file_errors(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("not json")
