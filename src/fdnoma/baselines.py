@@ -2,8 +2,8 @@
 
 Both baselines reuse the same channel statistics and run Monte Carlo
 only.  Neither has an outage event of its own: each is the system's
-:func:`~fdnoma.sidnr.outage_mask` on a transform of the one
-:class:`~fdnoma.config.SystemConfig`, as a job (:func:`hd_job`,
+one-comparison :func:`~fdnoma.sidnr.outage_mask` on a transform of the
+one :class:`~fdnoma.config.SystemConfig`, as a job (:func:`hd_job`,
 :func:`oma_job`) of the shared engine in :mod:`fdnoma.montecarlo`.  Their
 thresholds are the config's optional keys ``hd_thresholds`` and
 ``oma_threshold``, so they are validated and hashed with the rest.

@@ -125,7 +125,11 @@ def run_sweep(config_path, spec: SweepSpec, out_path) -> None:
     time is spent.  One engine call runs every job, drawing each block
     once for the sweep.
     """
-    cfg = load_config(config_path)
+    _sweep(load_config(config_path), spec, out_path)
+
+
+def _sweep(cfg: SystemConfig, spec: SweepSpec, out_path) -> None:
+    """:func:`run_sweep` on a loaded config: ``main`` reads the file once."""
     for u in spec.users:
         if not 1 <= u <= cfg.num_users:
             raise ConfigError(f"user {u} outside 1..{cfg.num_users}")
@@ -292,9 +296,7 @@ def main(argv=None) -> int:
         if not args.sweep or not args.out:
             parser.error("--sweep and --out are required unless --validate is given")
         cfg = load_config(args.config)
-        users = _parse_csv_list(args.users, int, "user") or tuple(
-            range(1, cfg.num_users + 1)
-        )
+        users = _parse_csv_list(args.users, int, "user") or tuple(range(1, cfg.num_users + 1))
         variable, start, stop, step = _parse_sweep(args.sweep)
         spec = SweepSpec(
             variable=variable,
@@ -308,7 +310,7 @@ def main(argv=None) -> int:
             partitions=args.partitions,
         )
         try:
-            run_sweep(args.config, spec, args.out)
+            _sweep(cfg, spec, args.out)
         except OSError as exc:  # publishing the CSV failed; no temporary is left
             print(f"output error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return 1

@@ -9,10 +9,11 @@ argument controls scheduling concurrency and can never change a result.
 One private engine, :func:`_estimate`, runs every Monte Carlo figure:
 the full-duplex NOMA system here and both comparison systems in
 :mod:`fdnoma.baselines`, which differ only in the derived constants,
-the user-gain ordering and the per-user mask of their :class:`Job`.  One call
-serves a whole sweep (every grid point and method) from one stream: each
-block's unit Gamma draws are made once and scaled to every job, which
-gives each job the counts of a separate run, bit for bit.
+the user-gain ordering and the per-user mask of their :class:`Job` (by
+default :func:`~fdnoma.sidnr.outage_mask`, one comparison per user).  One
+call serves a whole sweep (every grid point and method) from one stream:
+each block's unit Gamma draws are made once and scaled to every job,
+which gives each job the counts of a separate run, bit for bit.
 """
 
 from __future__ import annotations

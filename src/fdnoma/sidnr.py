@@ -1,4 +1,4 @@
-"""Instantaneous decode SIDNR and the batched outage mask.
+"""The batched outage mask: the decode SIDNR tests as one comparison.
 
 User ``l`` successively decodes the signals intended for users
 ``j = 1..l`` (strongest power first).  The signal-to-interference-
@@ -12,7 +12,19 @@ distortion-plus-noise ratio of stage ``j`` at user ``l`` is
 with ``g1`` the first-hop gain, ``g2`` the user's ordered second-hop
 gain and ``g3`` the loop-interference gain.  The user is in outage when
 any stage fails its threshold; ties count as outage (success requires a
-strictly larger ratio).  :func:`outage_mask` is the only encoding of
+strictly larger ratio).
+
+With ``x = g1 * g2 * snr**2`` and ``A + B`` the last two terms of ``den``,
+stage ``j`` fails when ``x * margin_j <= thr_j * (A + B)`` (``margin_j``
+of :class:`~fdnoma.config.DerivedConstants`): always if ``margin_j <= 0``
+(an infeasible user), else when ``x <= snr * demand_j * (A + B)``.  The
+union over ``j <= l`` is one comparison at the peak ``dmax = max(demand_j)``:
+
+    g1 * (g2 - c) * snr / (rhi_amp * dmax)
+        <= (g2 * snr + noise_ru_l) * (g3 * snr * sr_derate + noise_sr)
+
+with ``c = noise_ru_l * rhi_amp * dmax`` the floor of the ordered gain,
+as in the analytic routes.  :func:`outage_mask` is the only encoding of
 this event: the baselines reach it through transformed configurations.
 """
 
@@ -25,38 +37,20 @@ from .config import DerivedConstants
 __all__ = ["outage_mask"]
 
 
-def _stage_ratios(g1, g2, g3, dc: DerivedConstants, user: int):
-    """``(num, den)`` of stages 1..user as ``x * a_j`` and ``(x * D_j + A) + B``:
-    the stage-invariant parts are formed once, and every value rounds as
-    the formula above does (same operations, same order)."""
-    g = dc.snr_lin
-    t2 = dc.noise_ru[user - 1]
-    x = g1 * g2 * g * g
-    a = g1 * g * t2 * dc.rhi_amp
-    b = (g2 * g + t2) * (g3 * g * dc.sr_derate + dc.noise_sr) * dc.rhi_amp
-    for j in range(user):
-        yield x * dc.cfg.power_coeffs[j], x * (dc.iui[j] + dc.ipsic[j] + dc.rhi_mix) + a + b
-
-
-def outage_mask(
-    gain_sr: np.ndarray,
-    gains_ru_sorted: np.ndarray,
-    gain_li,
-    dc: DerivedConstants,
-    user: int,
-) -> np.ndarray:
-    """Outage indicator of ``user`` over a batch of realizations.
-
-    Evaluated as ``num <= threshold * den`` per stage, which is exact for
-    infeasible configurations too: when the power margin of a stage is
-    non-positive its ratio can never exceed the threshold, so every
-    realization is an outage.  ``gain_li`` may be the scalar 0.0
-    (half-duplex draws carry no loop interference).
-    """
+def outage_mask(gain_sr: np.ndarray, gains_ru_sorted: np.ndarray, gain_li,
+                dc: DerivedConstants, user: int) -> np.ndarray:
+    """Outage indicator of ``user`` over a batch of realizations (all of
+    them for an infeasible user).  ``gain_li`` may be the scalar 0.0."""
     if not 1 <= user <= dc.cfg.num_users:
         raise ValueError(f"user must lie in 1..{dc.cfg.num_users}")
+    if not dc.feasible[user - 1]:
+        return np.ones(gain_sr.shape, dtype=bool)
+    g, t2, dmax = dc.snr_lin, dc.noise_ru[user - 1], dc.demand_peak[user - 1]
     g2 = gains_ru_sorted[:, user - 1]
-    out = np.zeros(gain_sr.shape, dtype=bool)
-    for thr, (num, den) in zip(dc.cfg.thresholds, _stage_ratios(gain_sr, g2, gain_li, dc, user)):
-        out |= num <= thr * den
-    return out
+    lhs = g2 - t2 * dc.rhi_amp * dmax
+    lhs *= gain_sr
+    lhs *= g / (dc.rhi_amp * dmax)
+    rhs = g2 * g
+    rhs += t2
+    rhs *= gain_li * (g * dc.sr_derate) + dc.noise_sr
+    return lhs <= rhs

@@ -242,6 +242,18 @@ def test_main_sweep_end_to_end(cfg_file, tmp_path):
     assert "user3_mc_stderr" in header
 
 
+def test_main_sweep_reads_the_config_once(cfg_file, tmp_path, monkeypatch):
+    import fdnoma.cli as cli_mod
+
+    calls = []
+    real = cli_mod.load_config
+    monkeypatch.setattr(cli_mod, "load_config", lambda path: calls.append(path) or real(path))
+    rc = main(["--config", str(cfg_file), "--sweep", "snr_db=0:10:5", "--methods", "lb,mc",
+               "--trials", "2000", "--out", str(tmp_path / "once.csv")])
+    assert rc == 0
+    assert calls == [str(cfg_file)]
+
+
 def test_main_rejects_bad_inputs(cfg_file, tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["--config", str(cfg_file), "--sweep", "bogus", "--out", str(out)]) == 1

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fdnoma import default_config, derive_constants, estimate, estimate_all_users, op_exact
-from fdnoma.montecarlo import Job, _estimate
+from fdnoma.baselines import BaselineConfig, hd_job, oma_job
+from fdnoma.montecarlo import BLOCK_TRIALS, Job, _estimate
 
 
 def test_determinism_across_partition_counts(ideal_cfg):
@@ -87,6 +88,28 @@ def test_matches_exact_within_three_sigma(ideal_cfg):
     for e in estimate_all_users(ideal_cfg, trials=1_000_000, seed=42):
         assert abs(e.op_value - ex[e.user]) <= 3 * e.std_error
 
+
+
+# Outage counts of one seeded block, recorded before the mask became one
+# peak-demand comparison; they hold for the Philox and Gamma streams of
+# numpy 2.4.6 / scipy 1.17.1, the versions the CI pins.
+PINNED_COUNTS = [
+    (default_config(tx_antennas=2, rx_antennas=2),
+     {"mc": [10993, 7274, 6917], "hd": [2941, 718, 681], "oma": [4646, 4664, 4640]}),
+    (default_config(tx_antennas=3, rx_antennas=2, m_sr=2, li_quality_mu=0.5, kappa_sr=0.1,
+                    kappa_ru=0.1, sigma_e_sr_sq=0.02, sigma_e_ru_sq=0.02, sigma_ipsic_sq=0.02,
+                    snr_db=15.0),
+     {"mc": [41394, 38983, 30385], "hd": [13626, 926, 17], "oma": [6934, 7062, 7123]}),
+]
+
+
+@pytest.mark.parametrize("cfg, counts", PINNED_COUNTS, ids=["2x2-reference", "3x2-impaired"])
+def test_pinned_outage_counts(cfg, counts):
+    jobs = [Job(derive_constants(cfg), None, "mc"), hd_job(BaselineConfig(cfg, "hd_noma")),
+            oma_job(BaselineConfig(cfg, "fd_oma"))]
+    results = _estimate(jobs, BLOCK_TRIALS, 2026, 1)
+    assert {job.method: [round(e.op_value * e.trials) for e in ests]
+            for job, ests in zip(jobs, results)} == counts
 
 @pytest.mark.slow
 def test_coverage_calibration(ideal_cfg):
