@@ -3,7 +3,11 @@
 A batch of realizations is the triple (first-hop beamforming gains,
 per-user combining gains with one row per realization, loop-interference
 gains); each row of user gains is in ascending order unless scaled with
-``sort=False``.  Gains are drawn as
+``sort=False``.  The user gains are a column-major ``(size, L)`` array,
+so each user's gains are one contiguous column; the rows are ordered by
+a compare-exchange network on whole columns (Batcher's odd-even merge
+sort), which only selects values and so equals a row sort bit for bit.
+Gains are drawn as
 Gamma variates directly: for integer Nakagami shape the squared MRT/MRC
 norms are exactly Gamma, and sampling the norm is far cheaper than
 summing per-antenna components.  Estimation errors enter only through
@@ -27,6 +31,8 @@ loop-interference gain is the scalar 0.0.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -52,25 +58,53 @@ def seeded_stream(seed: int, substream: int = 0) -> np.random.Generator:
 def draw_units(shapes, rng: np.random.Generator, size: int, include_li: bool):
     """One block's unit-scale variates (first hop, users[size, L], loop
     interference or, without ``include_li``, None), in the stream layout
-    contract order."""
+    contract order.  The user block is column-major: user ``i``'s draws
+    fill one contiguous column, the ``i``-th ``standard_gamma`` call."""
     k1, k2, k3 = shapes
     unit_sr = rng.standard_gamma(k1, size)
-    units_ru = np.empty((size, len(k2)))
-    for i, k in enumerate(k2):
-        units_ru[:, i] = rng.standard_gamma(k, size)
-    return unit_sr, units_ru, (rng.standard_gamma(k3, size) if include_li else None)
+    units_ru = np.empty((len(k2), size))
+    for k, row in zip(k2, units_ru):
+        rng.standard_gamma(k, size, out=row)
+    return unit_sr, units_ru.T, (rng.standard_gamma(k3, size) if include_li else None)
+
+
+@functools.cache
+def _merge_network(n: int) -> tuple[tuple[int, int], ...]:
+    """Comparator pairs ``(i, j)``, ``i < j``, of Batcher's odd-even merge
+    sort on ``n`` keys (Knuth, TAOCP vol. 3, 5.3.4).  ``n`` need not be a
+    power of two: comparators that would reach past key ``n - 1`` are left
+    out, as if the missing keys were +inf."""
+    pairs = []
+    p = 1
+    while p < n:
+        k = p
+        while k:
+            for j in range(k % p, n - k, 2 * k):
+                pairs += [(i, i + k) for i in range(j, j + min(k, n - j - k))
+                          if i // (2 * p) == (i + k) // (2 * p)]
+            k //= 2
+        p *= 2
+    return tuple(pairs)
 
 
 def scale_users(units_ru: np.ndarray, scales, sort: bool = True) -> np.ndarray:
-    """User gains: unit variates scaled per column, then sorted per row."""
-    gains_ru = units_ru * np.array(scales)
+    """User gains: unit variates scaled per column into a column-major
+    array, then ordered per row by a compare-exchange network on whole
+    columns.  Each comparator only selects values, so for finite gains
+    the result equals a row sort (``np.sort`` along axis 1) bit for bit."""
+    gains_ru = np.multiply(units_ru, scales, order="F")
     if sort:
-        gains_ru.sort(axis=1)
+        cols, low = gains_ru.T, np.empty(len(gains_ru))
+        for i, j in _merge_network(len(cols)):
+            np.minimum(cols[i], cols[j], out=low)
+            np.maximum(cols[i], cols[j], out=cols[j])
+            cols[i] = low
     return gains_ru
 
 
 def draw_batch(dc: DerivedConstants, rng: np.random.Generator, size: int):
-    """Vectorized draws: (gain_sr[size], gains_ru[size, L], gain_li).
+    """Vectorized draws: (gain_sr[size], gains_ru[size, L], gain_li), with
+    ``gains_ru`` column-major and each row in ascending order.
 
     Stream layout contract (fixed so results are reproducible): the
     first-hop block, then one block per user in user order, then the

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy import integrate, stats
 
 from fdnoma import default_config, derive_constants, draw_batch, ordered_sf, seeded_stream
-from fdnoma.channel import draw_units
+from fdnoma.channel import draw_units, scale_users
 from fdnoma.config import gamma_laws
 
 
@@ -92,6 +93,53 @@ def test_sorted_and_single_draw(ideal_cfg):
         assert np.all(np.diff(g2, axis=1) >= 0)
         for g in (g1, g2, g3):
             assert np.all(np.isfinite(g)) and np.all(g >= 0)
+
+
+def test_network_sorts_every_zero_one_row():
+    # 0-1 principle: a compare-exchange network that sorts every 0/1 input
+    # sorts every input; all 2**L rows go through one call
+    for num_users in range(1, 13):
+        rows = np.array(list(itertools.product((0.0, 1.0), repeat=num_users)))
+        ordered = scale_users(np.asfortranarray(rows), np.ones(num_users))
+        assert np.array_equal(ordered, np.sort(rows, axis=1))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_network_equals_row_sort_with_ties(order):
+    # integer-valued gains tie often; the network must still match a row
+    # sort bit for bit, whatever the input layout
+    rng = np.random.default_rng(17)
+    for num_users in range(1, 21):
+        units = np.asarray(rng.integers(0, 4, (2_000, num_users)), dtype=float, order=order)
+        scales = rng.integers(1, 3, num_users).astype(float)
+        ordered = scale_users(units, scales)
+        assert np.array_equal(ordered, np.sort(units * scales, axis=1))
+
+
+def test_unsorted_or_single_user_gains_are_only_scaled():
+    units = draw_units((1, (2, 1, 3), 1), seeded_stream(8, 0), 1_000, False)[1]
+    scales = (0.5, 2.0, 1 / 3)
+    assert np.array_equal(scale_users(units, scales, sort=False), units * np.array(scales))
+    assert np.array_equal(scale_users(units[:, :1], (0.7,)), units[:, :1] * 0.7)
+
+
+@pytest.mark.parametrize("include_li", [True, False])
+def test_user_columns_follow_the_stream_contract(include_li):
+    # draw_units writes each user's draws into its own contiguous column;
+    # column i is the i-th sequential standard_gamma call, and the stream
+    # ends where sequential calls leave it
+    shapes = (2, (4, 1, 6, 2), 3)
+    rng, twin = seeded_stream(5, 3), seeded_stream(5, 3)
+    unit_sr, units_ru, unit_li = draw_units(shapes, rng, 3_001, include_li)
+    assert unit_sr.tobytes() == twin.standard_gamma(2, 3_001).tobytes()
+    for i, k in enumerate(shapes[1]):
+        assert units_ru[:, i].flags.c_contiguous
+        assert units_ru[:, i].tobytes() == twin.standard_gamma(k, 3_001).tobytes()
+    if include_li:
+        assert unit_li.tobytes() == twin.standard_gamma(3, 3_001).tobytes()
+    else:
+        assert unit_li is None
+    assert rng.random(100).tobytes() == twin.random(100).tobytes()
 
 
 def test_largest_order_statistic_mean_matches_quadrature():

@@ -90,9 +90,12 @@ def test_matches_exact_within_three_sigma(ideal_cfg):
 
 
 
-# Outage counts of one seeded block, recorded before the mask became one
-# peak-demand comparison; they hold for the Philox and Gamma streams of
-# numpy 2.4.6 / scipy 1.17.1, the versions the CI pins.
+# Outage counts of one seeded block.  The first two were recorded before
+# the mask became one peak-demand comparison, the last two (two users;
+# unequal per-user distances and shapes, so the ordered gains are not
+# identically distributed) before the row sort became a compare-exchange
+# network.  They hold for the Philox and Gamma streams of numpy 2.4.6 /
+# scipy 1.17.1, the versions the CI pins.
 PINNED_COUNTS = [
     (default_config(tx_antennas=2, rx_antennas=2),
      {"mc": [10993, 7274, 6917], "hd": [2941, 718, 681], "oma": [4646, 4664, 4640]}),
@@ -100,10 +103,17 @@ PINNED_COUNTS = [
                     kappa_ru=0.1, sigma_e_sr_sq=0.02, sigma_e_ru_sq=0.02, sigma_ipsic_sq=0.02,
                     snr_db=15.0),
      {"mc": [41394, 38983, 30385], "hd": [13626, 926, 17], "oma": [6934, 7062, 7123]}),
+    (default_config(num_users=2, tx_antennas=2, rx_antennas=2, power_coeffs=(0.7, 0.3),
+                    thresholds=(0.9, 1.2), snr_db=10.0),
+     {"mc": [1054, 2739], "hd": [307, 361], "oma": [2101, 2132]}),
+    (default_config(tx_antennas=2, rx_antennas=2, m_ru=(1, 2, 1), d_ru=(0.4, 0.5, 0.7),
+                    kappa_ru=0.05, sigma_e_ru_sq=0.01, snr_db=15.0),
+     {"mc": [22542, 8185, 7536], "hd": [10958, 840, 758], "oma": [4495, 4404, 11748]}),
 ]
 
 
-@pytest.mark.parametrize("cfg, counts", PINNED_COUNTS, ids=["2x2-reference", "3x2-impaired"])
+@pytest.mark.parametrize("cfg, counts", PINNED_COUNTS,
+                         ids=["2x2-reference", "3x2-impaired", "2x2-two-users", "2x2-unequal-users"])
 def test_pinned_outage_counts(cfg, counts):
     jobs = [Job(derive_constants(cfg), None, "mc"), hd_job(BaselineConfig(cfg, "hd_noma")),
             oma_job(BaselineConfig(cfg, "fd_oma"))]
