@@ -39,7 +39,7 @@ from .config import (
     threshold_from_rate,
 )
 from .montecarlo import OutageEstimate, estimate, estimate_all_users
-from .specfun import multinomial_coeffs, ordered_sf
+from .specfun import ordered_sf
 
 __all__ = [
     "__version__",
@@ -61,7 +61,6 @@ __all__ = [
     "hd_outage_all",
     "hd_thresholds_rate_matched",
     "load_config",
-    "multinomial_coeffs",
     "oma_outage_all",
     "oma_threshold_rate_sum",
     "op_asymptotic",

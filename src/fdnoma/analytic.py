@@ -2,27 +2,33 @@
 
 Four routes to the same quantity, used to cross-validate each other:
 
-* :func:`op_exact` - the closed-form expansion: the first-hop Gamma CDF
-  and the loop-interference integral are reduced analytically, the
-  ordered user-gain density is expanded in powers of its parent
-  survival function (:func:`~fdnoma.specfun.order_weights`), each power
-  through power-series coefficients, and what remains is a finite
-  alternating sum of one-dimensional tail integrals
-  (:func:`tail_weight_integral`), all evaluated at once by one
-  vectorized trapezoid rule on a log axis.
-* :func:`op_oracle_2d` - direct 2-D integration of the outage
-  probability over (user gain above its floor, loop-interference gain)
-  on log axes, by the same rule as a tensor product, started at step
-  0.1 and halved, reusing every node, while its check fails (floor
-  0.025).  Its head and densities come from the binomial order-statistic
-  law in :mod:`~fdnoma.specfun`; it shares none of the closed form's
-  expansion and is nearly assumption-free; the reference oracle.
-* :func:`op_lower_bound` - fully closed form obtained by bounding the
-  two-hop SIDNR by the smaller of the per-hop ratios.
+* :func:`op_exact` - head plus a one-dimensional body.  The head is
+  P(y <= c), the ordered user gain y below its outage floor c
+  (:func:`~fdnoma.specfun.ordered_cdf`).  Above the floor the outage
+  needs the first-hop gain below a level ``A(y) * (B*z + t5)`` set by y
+  and the loop-interference gain z; averaged over z in closed form this
+  is :func:`_relay_cdf`, a finite sum of positive terms (a Poisson count
+  whose mean is Gamma-distributed is negative binomial; Greenwood & Yule,
+  J. R. Stat. Soc. 83, 1920).  The body is one integral over
+  a = log(y - c) of the ordered density times that kernel, by the
+  halving-checked log-axis trapezoid rule.
+* :func:`op_oracle_2d` - the same head and the same a-axis, with z
+  integrated numerically instead: a tensor-product trapezoid over a and
+  b = log z, started at step 0.1 and halved, reusing every node, while
+  its check fails (floor 0.025); the reference oracle.
+* :func:`op_lower_bound` - the two-hop SIDNR bounded by the smaller of
+  the per-hop ratios: the same kernel at one point, and the head.
 * :func:`op_asymptotic` - high-SNR behavior: diversity order and array
   gain when the outage decays, explicit floor values when residual loop
-  interference (full cancellation quality lost) or channel estimation
-  errors dominate.
+  interference (full cancellation quality lost; the kernel without relay
+  noise) or channel estimation errors dominate.
+
+:func:`op_exact` and :func:`op_oracle_2d` share the head,
+:func:`~fdnoma.specfun.ordered_logpdf`, the a-axis (:func:`_a_axis`) and
+the rule; they differ in the z average, closed form against numeric.
+So the shared parts are judged by references that share no code with
+them (mpmath for the kernel and the order-statistic law, pinned
+deep-tail values), and Monte Carlo is the only fully independent route.
 
 All four read one private view of user l's problem (:class:`_User`, from
 :func:`_user_view`): the three Gamma links of
@@ -32,27 +38,22 @@ floor ``c`` of the ordered gain.  An infeasible user has no view (its
 outage is 1); the closed forms need i.i.d. user gains, so unequal user
 statistics raise :class:`~fdnoma.config.ConfigError`.
 
-Both quadratures use one halving-checked log-axis trapezoid rule, written
-once (:func:`_window`, :func:`_trapezoid`, :func:`_check_halving`).
-
-The alternating sums are accumulated with exact compensated summation
-(``math.fsum``) after scaling by the largest term, and the evaluation
-reports catastrophic cancellation instead of returning digits it cannot
-back.
+Every quadrature uses one halving-checked log-axis trapezoid rule, written
+once (:func:`_window`, :func:`_trapezoid`, :func:`_check_halving`), and
+raises :class:`NumericsError` rather than return a value it cannot back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import betainc, gammainc, gammaln, xlogy
 
 from .config import ConfigError, DerivedConstants, SystemConfig, derive_constants, gamma_laws
-from .specfun import multinomial_coeffs, order_weights, ordered_cdf, ordered_logpdf, ordered_sf
+from .specfun import ordered_cdf, ordered_logpdf
 
 __all__ = [
     "NumericsError",
@@ -69,7 +70,7 @@ _TIE_TOL = 1e-9
 
 
 class NumericsError(RuntimeError):
-    """Quadrature non-convergence or catastrophic cancellation."""
+    """A quadrature whose window or step-halving check fails."""
 
 
 class _User(NamedTuple):
@@ -117,8 +118,7 @@ def _user_view(dc: DerivedConstants, user: int) -> _User | None:
 
 # -- the log-axis trapezoid rule --------------------------------------------
 
-# Relative step-halving tolerance of every log-axis rule; op_exact's
-# cancellation guard scales its error estimate by it.
+# Relative step-halving tolerance of every log-axis rule.
 _REL_TOL = 1e-12
 
 
@@ -218,10 +218,14 @@ def tail_weight_integral(
     ``power`` may be negative; ``inv_rate > 0`` then keeps the origin
     integrable.  With ``inv_rate == 0`` the caller must ensure
     integrability at 0 (``power >= 0`` or ``power > shift_power - 1``
-    when ``shift == 0``).  One row of the closed form's kernel, the
-    log-axis rule :func:`op_oracle_2d` shares: raises :class:`NumericsError`
-    when its step-halving check fails (relative tolerance 1e-12) or the
-    integrand leaves the scanned range (x in [e^-60, e^45]).
+    when ``shift == 0``).  One row of the log-axis rule: raises
+    :class:`NumericsError` when its step-halving check fails (relative
+    tolerance 1e-12) or the integrand leaves the scanned range
+    (x in [e^-60, e^45]).
+
+    No code in ``src/`` calls it.  It is kept because the benchmark's
+    layer run (``bench/workloads.py``) and its CI smoke step time it, and
+    it goes with ROADMAP item 1, which redefines those metrics.
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
@@ -230,134 +234,92 @@ def tail_weight_integral(
     return math.exp(_log_tail_weights(power, rate, inv_rate, shift, shift_power)[0])
 
 
-# -- exact outage -----------------------------------------------------------
+# -- the relay kernel and the exact outage -----------------------------------
 
-@lru_cache(maxsize=128)
-def _term_table(k1: int, k2: int, num_users: int, order: int, m_li: int):
-    """Index arrays and index-only log weights of the outage expansion.
+def _relay_cdf(k1: int, k3: int, theta, mean):
+    """P(g1 < A*(B*z + t5)) averaged over z, for g1 ~ Gamma(k1, s1) and
+    z ~ Gamma(k3, s3), with ``theta = A*B*s3/s1`` and ``mean = A*t5/s1``
+    (arrays broadcast against each other).
 
-    Rows enumerate (n, m, r, n1, n2, n3): first-hop CDF term n,
-    loop-interference binomial m, the survival power r of the ordered
-    user-gain density (:func:`~fdnoma.specfun.order_weights`), the
-    power-series order n1 and the two shift binomials (n2, n3).
-    Everything that does not depend on the channel constants is folded
-    into ``base`` (a log magnitude) and ``sign``.
+    Given z, g1 < x is a Poisson(x/s1) count reaching k1; averaged over z
+    the count is N1 + N2, N1 ~ Poisson(mean) and N2 ~ NegBin(k3, u) with
+    u = theta / (1 + theta).  So the kernel is P(N1 + N2 >= k1) =
+    sum_{j<k1} P(N2 = j) P(k1 - j, mean) + I_u(k1, k3), a finite sum of
+    positive terms.  The negative-binomial pmf is taken in log space
+    through log1p(theta), so 1 - u is never formed.
     """
-    powers, weights = (np.array(v) for v in zip(*order_weights(order, num_users)))
-    n, m, j, n1, n2, n3 = np.array([
-        (n, m, j, n1, n2, n3)
-        for n in range(k1)
-        for m in range(n + 1)
-        for j, r in enumerate(powers)
-        for n1 in range(r * (k2 - 1) + 1)
-        for n2 in range(n1 + k2)
-        for n3 in range(n + 1)
-    ]).T
-    r = powers[j]
-    log_fact = np.array([math.lgamma(i + 1) for i in range(num_users * k2 + k1 + m_li)])
-    log_comb = lambda a, b: log_fact[a] - log_fact[b] - log_fact[a - b]
-    log_theta = np.full((len(powers), (num_users - 1) * (k2 - 1) + 1), -np.inf)
-    for i, p in enumerate(powers):
-        log_theta[i, : p * (k2 - 1) + 1] = np.log(multinomial_coeffs(p, k2))
-    base = (
-        np.log(np.abs(weights))[j]
-        + log_comb(n, m)
-        + log_comb(n1 + k2 - 1, n2)
-        + log_comb(n, n3)
-        + log_fact[m + m_li - 1]
-        - log_fact[n]
-        - math.lgamma(m_li)
-        - math.lgamma(k2)
-        + log_theta[j, n1]
-    )
-    p_exp = n2 + n3 + m + m_li - n
-    m_exp = m + m_li
-    uniq, inverse = np.unique(np.stack([p_exp, r, m_exp], axis=1), axis=0, return_inverse=True)
-    return {
-        "base": base,
-        "sign": np.sign(weights)[j].astype(float),
-        "n": n,
-        "m": m,
-        "r": r,
-        "pow_beta": n1 + k2,
-        "pow_c": n1 + k2 - 1 - n2,
-        "pow_u": n - n3,
-        "M": m_exp,
-        "uniq": uniq,
-        "inverse": inverse,
-    }
+    theta, mean = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(mean, dtype=float))
+    j = np.arange(k1).reshape((-1,) + (1,) * theta.ndim)
+    log_nb = (gammaln(j + k3) - gammaln(k3) - gammaln(j + 1)
+              + xlogy(j, theta) - (j + k3) * np.log1p(theta))
+    return (np.exp(log_nb) * gammainc(k1 - j, mean)).sum(axis=0) + betainc(k1, k3, theta / (1.0 + theta))
 
 
-def _log_comb(a: int, b: int) -> float:
-    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+# Step of the exact outage's trapezoid rule on the a-axis, the step of the
+# scan that picks the window of both body rules, and how far the scan
+# reaches beyond the data anchors (below the leftmost anchor, above the
+# rightmost one).
+_EXACT_STEP = 0.05
+_ORACLE_SCAN_STEP = 0.25
+_ORACLE_REACH = (50.0, 8.0)
 
 
-def _success_probability(view: _User):
-    """Complement of the outage: the alternating finite sum, returned as
-    (value, largest term magnitude)."""
+def _a_axis(view: _User):
+    """The axis a = log(y - c) of the outage body above the floor c, shared
+    by :func:`op_exact` and :func:`op_oracle_2d`: the scan nodes that pick
+    its window and ``rows(a)``, which gives (log weight, log need factor)
+    per node.  The log weight is a + log f(y) for the ordered density f,
+    and g1 < need(y, z) reads g1 / s1 < exp(log need factor) * (g*t4*z + t5).
+
+    The scan is anchored at the user-gain scale and, far left of it at
+    high SNR, at the distance above the floor where need(y, 0) falls to s1
+    and the first-hop CDF leaves 1.
+    """
     l, L, k1, k2, k3, s1, s2, s3, g, t2, t3, t4, t5, dmax = view
-    beta, alpha1, rho = 1.0 / s2, 1.0 / s1, 1.0 / s3
-    c = view.c                           # ordered-gain floor of the outage region
-    e_big = t3 * t5 * dmax * alpha1      # first-hop exponential weight
-    u = c + t2 / g
-    q = e_big * u                        # exp(-q/x) weight inside the tail integral
-    g_d = g * t3 * t4 * dmax * alpha1    # loop-interference coupling
-    shift = g_d * u / (g_d + rho)
+    c = view.c
+    log_need0 = math.log(t3 * dmax / (g * s1))
 
-    tab = _term_table(k1, k2, L, l, k3)
-    log_c, log_u = math.log(c), math.log(u)
-    log_beta = math.log(beta)
-    log_g45 = math.log(g * t4 / t5)
-    log_e = math.log(e_big)
-    log_gd_rho = math.log(g_d + rho)
-    scalar = k3 * math.log(rho) - e_big
+    def rows(a):
+        y = c + np.exp(a)
+        return a + ordered_logpdf(y, l, L, k2, s2), np.log(y * g + t2) + log_need0 - a
 
-    p, r, mm = tab["uniq"].T
-    log_t = _log_tail_weights(p, beta * (r + 1), q, shift, mm)
-
-    lg = (
-        tab["base"]
-        + scalar
-        + tab["pow_beta"] * log_beta
-        + tab["pow_c"] * log_c
-        - (c * beta) * (tab["r"] + 1)
-        + tab["m"] * log_g45
-        + tab["n"] * log_e
-        + tab["pow_u"] * log_u
-        - tab["M"] * log_gd_rho
-        + log_t[tab["inverse"]]
-    )
-    lg_max = float(np.max(lg))
-    if lg_max == -math.inf:
-        return 0.0, 0.0
-    terms = tab["sign"] * np.exp(lg - lg_max)
-    scaled = math.fsum(terms)
-    peak = math.exp(lg_max)
-    return peak * scaled, peak
+    left, right = _ORACLE_REACH
+    log_s2 = math.log(s2)
+    a_turn = math.log((c * g + t2) * t5) + log_need0
+    return np.arange(min(a_turn, log_s2) - left, log_s2 + right, _ORACLE_SCAN_STEP), rows
 
 
 def _op_exact(view: _User | None) -> float:
-    """Exact outage probability of one user view (1 for None)."""
+    """Exact outage probability of one user view (1 for None): the head
+    P(y <= c) plus the body, the integral over a = log(y - c) of the
+    ordered density times :func:`_relay_cdf`, by the trapezoid rule at
+    step ``_EXACT_STEP`` on the window of :func:`_a_axis`'s scan and
+    checked against the rule on every other node."""
     if view is None:
         return 1.0
-    success, peak = _success_probability(view)
-    op = 1.0 - success
-    if success > 1.001:
-        raise NumericsError(f"success probability evaluated to {success!r}")
-    # The sum itself is exactly rounded; what limits the result is the
-    # per-term evaluation error (dominated by the tail-integral
-    # tolerance) amplified by cancellation against the leading 1.
-    err_est = peak * _REL_TOL
-    if err_est > 0.05 * max(abs(op), 1e-300):
-        raise NumericsError(
-            f"catastrophic cancellation: outage {op:.3e} below the "
-            f"resolution {err_est:.3e} of the alternating sum"
-        )
-    return min(max(op, 0.0), 1.0)
+    head = ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
+    a_scan, rows = _a_axis(view)
+
+    def phi(a):
+        log_w, log_need = rows(a)
+        r = np.exp(log_need)
+        with np.errstate(divide="ignore"):
+            return log_w + np.log(_relay_cdf(view.k1, view.k3, r * view.g * view.t4 * view.s3, r * view.t5))
+
+    name = lambda i: "exact body in a = log(y - c)"
+    lo, hi = _window(a_scan, phi(a_scan)[None], name)
+    h, weights = _trapezoid(lo, hi, _EXACT_STEP, 2)
+    body = phi(lo + h * np.arange(len(weights)))
+    top = body.max()
+    f = weights * np.exp(body - top)
+    fine, coarse = h * f.sum(), 2.0 * h * f[::2].sum()
+    _check_halving(fine, coarse, name)
+    return float(min(head + math.exp(top) * fine[0], 1.0))
 
 
 def op_exact(cfg: SystemConfig, user: int) -> float:
-    """Exact per-user outage probability (closed form plus tail quadrature).
+    """Exact per-user outage probability (head plus a 1-D body over the
+    closed-form relay kernel).
 
     Returns 1 outright when any decode stage of ``user`` is infeasible.
     """
@@ -367,13 +329,9 @@ def op_exact(cfg: SystemConfig, user: int) -> float:
 # -- 2-D log-axis oracle ----------------------------------------------------
 
 # Start step on both log axes of the oracle and how often a failed
-# halving check may halve it (floor 0.1 / 4 = 0.025), the step of the
-# scan that picks its window, and how far the scan reaches beyond the data
-# anchors (below the leftmost anchor, above the rightmost one).
+# halving check may halve it (floor 0.1 / 4 = 0.025).
 _ORACLE_STEP = 0.1
 _ORACLE_HALVINGS = 2
-_ORACLE_SCAN_STEP = 0.25
-_ORACLE_REACH = (50.0, 8.0)
 
 
 def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
@@ -387,34 +345,29 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
     as the single "order statistic" of one gain); the body
     E[P(g1 < need); y > c] is integrated over a = log(y - c) and
     b = log z, where its mass just above the floor and its slow
-    power-law flanks become one smooth bump.  The rule is the closed
-    form's tail-integral rule in two dimensions: a tensor-product
+    power-law flanks become one smooth bump.  The rule is the log-axis
+    trapezoid of :func:`op_exact` in two dimensions: a tensor-product
     trapezoid over the window of the bump's peak profile along each
     axis, from a coarse scan anchored at the gain scales and at the
-    first-hop transition near the floor, with the same step-halving
-    check at 1e-12 relative.  It starts at step 0.1 on both axes; while
-    the check fails it halves both steps, down to a floor of 0.025, and
-    evaluates only the new nodes (the rule is nested, so every old node
-    is reused).  A check that still fails at the floor, or a window that
-    reaches an end of the scan, raises :class:`NumericsError`.  None of
-    the closed form's expansion is shared.
+    first-hop transition near the floor (the a scan is
+    :func:`_a_axis`), with the same step-halving check at 1e-12
+    relative.  It starts at step 0.1 on both axes; while the check fails
+    it halves both steps, down to a floor of 0.025, and evaluates only
+    the new nodes (the rule is nested, so every old node is reused).  A
+    check that still fails at the floor, or a window that reaches an end
+    of the scan, raises :class:`NumericsError`.  The z average, which
+    :func:`op_exact` takes in closed form, is numeric here.
     """
     view = _user_view(derive_constants(cfg), user)
     if view is None:
         return 1.0
-    l, L, k1, k2, k3, scale1, scale2, scale3, g, t2, t3, t4, t5, dmax = view
-    c = view.c
-
-    head = ordered_cdf(c, l, L, k2, scale2)
+    k1, k3, scale3, g, t4, t5 = view.k1, view.k3, view.s3, view.g, view.t4, view.t5
+    head = ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
 
     # The integrand factors into a row part in a = log(y - c), a column
-    # part in b = log z and P(g1 < need); need / scale1 is the product of
+    # part in b = log z and P(g1 < need); need / s1 is the product of
     # a row and a column factor.  Each part is (log weight, log need factor).
-    log_need0 = math.log(t3 * dmax / (g * scale1))
-
-    def rows(a):
-        y = c + np.exp(a)
-        return a + ordered_logpdf(y, l, L, k2, scale2), np.log(y * g + t2) + log_need0 - a
+    a_scan, rows = _a_axis(view)
 
     def cols(b):
         z = np.exp(b)
@@ -436,13 +389,8 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
                 total += float(wa[s] @ np.exp(phi(tuple(v[s] for v in row), col) - top) @ wb)
         return total
 
-    # Anchors: the user-gain and loop-interference scales and, far left
-    # of the former at high SNR, the distance above the floor at which
-    # need(y, 0) falls to scale1 and the first-hop CDF leaves 1.
+    # The b scan is anchored at the loop-interference scale.
     left, right = _ORACLE_REACH
-    log_scale2 = math.log(scale2)
-    a_turn = math.log((c * g + t2) * t5) + log_need0
-    a_scan = np.arange(min(a_turn, log_scale2) - left, log_scale2 + right, _ORACLE_SCAN_STEP)
     b_scan = np.arange(math.log(scale3) - left, math.log(scale3) + right, _ORACLE_SCAN_STEP)
     with np.errstate(divide="ignore"):
         scan = phi(rows(a_scan), cols(b_scan))
@@ -473,40 +421,24 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
 
 # -- closed-form lower bound ------------------------------------------------
 
-def _relay_ratio_sf(x, view: _User, v: float):
-    """Survival of W = g1 / (g3 + v) at ``x``, closed form, for the first-hop
-    and loop-interference laws of ``view`` and the relay noise share ``v``.
-
-    All terms are positive, so plain summation is stable.
-    """
-    k1, k3, alpha1, rho = view.k1, view.k3, 1.0 / view.s1, 1.0 / view.s3
-    if x <= 0.0:
-        return 1.0
-    lead = math.exp(-x * v * alpha1) if x * v * alpha1 < 745 else 0.0
-    if lead == 0.0:
-        return 0.0
-    return lead * math.fsum(
-        math.comb(n, n2) * rho ** k3 * alpha1 ** n
-        * math.exp(math.lgamma(n2 + k3) - math.lgamma(n + 1) - math.lgamma(k3))
-        * v ** (n - n2) * x ** n * (x * alpha1 + rho) ** (-(n2 + k3))
-        for n in range(k1) for n2 in range(n + 1)
-    )
-
-
 def op_lower_bound(cfg: SystemConfig, user: int) -> float:
     """Closed-form lower bound on the exact outage.
 
     The two-hop SIDNR is upper-bounded by the minimum of the per-hop
     ratios (the harmonic-mean property), whose survival factorizes into
-    the relay-ratio survival and the ordered-gain survival.
+    the relay-ratio survival and the ordered-gain survival.  The bound is
+    written from the two CDFs, F_W + F_2 - F_W*F_2, so that it keeps
+    relative accuracy when both are small: F_W = P(g1 < x_w*(g3 + v)) is
+    :func:`_relay_cdf`, and F_2 is the head of :func:`op_exact`.
     """
     view = _user_view(derive_constants(cfg), user)
     if view is None:
         return 1.0
     x_w = view.g * view.t3 * view.t4 * view.dmax
-    s_w = _relay_ratio_sf(x_w, view, view.t5 / (view.g * view.t4))
-    s_2 = ordered_sf(view.c, view.l, view.L, view.k2, view.s2)
-    return min(max(1.0 - s_w * s_2, 0.0), 1.0)
+    v = view.t5 / (view.g * view.t4)
+    f_w = float(_relay_cdf(view.k1, view.k3, x_w * view.s3 / view.s1, x_w * v / view.s1))
+    f_2 = ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
+    return min(f_w + f_2 - f_w * f_2, 1.0)
 
 
 # -- asymptotics ------------------------------------------------------------
@@ -587,7 +519,7 @@ def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:
         # residual interference power is SNR-free here (scale * snr**0),
         # so the relay noise share of W vanishes; no estimation error
         # reaches this branch, so the estimated S-R power is the true one.
-        floor = 1.0 - _relay_ratio_sf(hop1_amp * lam, view, 0.0)
+        floor = float(_relay_cdf(k1, k3, hop1_amp * lam * view.s3 / view.s1, 0.0))
         return AsymptoteReport(
             user=l, regime="li_floor", diversity_order=0.0, array_gain=None,
             floor_value=floor,
@@ -609,7 +541,8 @@ def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:
             for i in range(k1 + 1)
         ))
     chi1 = math.exp(-log_d1 / do1)
-    log_d2 = _log_comb(view.L, l) - l * math.lgamma(k2 + 1)
+    log_d2 = (math.lgamma(view.L + 1) - math.lgamma(l + 1) - math.lgamma(view.L - l + 1)
+              - l * math.lgamma(k2 + 1))
     chi2 = math.exp(-log_d2 / do2) * view.s2 / (hop2_amp * lam)
     if abs(do1 - do2) <= _TIE_TOL:
         # both hops decay at the same order: their asymptotes add

@@ -8,8 +8,8 @@ CDF ``F`` and survival ``S`` (David & Nagaraja, *Order Statistics*, 3rd
 ed., 2003, ch. 2), each from its own regularized incomplete gamma
 function and with only positive terms, so it keeps relative accuracy in
 both tails: :func:`ordered_cdf`, :func:`ordered_sf`, :func:`ordered_logpdf`.
-:func:`order_weights` and :func:`multinomial_coeffs` serve the
-closed-form outage expansion only.
+The exact outage, its lower bound and the 2-D oracle all read the law
+from here.
 """
 
 from __future__ import annotations
@@ -20,45 +20,10 @@ import numpy as np
 from scipy.special import gammainc, gammaincc, xlogy
 
 __all__ = [
-    "multinomial_coeffs",
-    "order_weights",
     "ordered_cdf",
     "ordered_sf",
     "ordered_logpdf",
 ]
-
-
-def multinomial_coeffs(power: int, base_terms: int) -> np.ndarray:
-    """Coefficients of ``(sum_{n<base_terms} x**n / n!) ** power``, by
-    iterated polynomial convolution.
-
-    Entry ``j`` multiplies ``x**j``; there are ``power * (base_terms - 1)
-    + 1`` entries, all positive, starting with 1.  The zeroth power is
-    the empty product, a single coefficient 1.
-    """
-    if power < 0 or base_terms < 1:
-        raise ValueError("power must be >= 0 and base_terms >= 1")
-    base = np.array([1.0 / math.factorial(k) for k in range(base_terms)])
-    out = np.array([1.0])
-    for _ in range(power):
-        out = np.convolve(out, base)
-    return out
-
-
-def order_weights(order: int, num_users: int) -> list[tuple[int, int]]:
-    """Expansion of the ``order``-th smallest of ``num_users`` i.i.d. gains
-    in powers of the parent survival function ``S = 1 - F``.
-
-    Its density is ``rank * F**(l-1) * S**(L-l) * f`` with
-    ``rank = L! / ((L-l)! (l-1)!)``; expanding ``(1 - S)**(l-1)`` gives
-    ``sum_j w_j * S**r_j * f`` with ``r_j = L - l + j`` and
-    ``w_j = (-1)**j * rank * C(l-1, j)``, ``j = 0..l-1``.  Returns the
-    pairs ``(r_j, w_j)``; the weights are exact integers.
-    """
-    _check_order(order, num_users)
-    l, n = order, num_users
-    rank = math.comb(n, l) * l
-    return [(n - l + j, (-1) ** j * rank * math.comb(l - 1, j)) for j in range(l)]
 
 
 def _check_order(order: int, num_users: int):

@@ -1,5 +1,4 @@
-from fractions import Fraction
-
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,20 +16,26 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def _exact_poly_power(base, power):
-    """Exact rational coefficients of ``(sum_k base[k] * x**k) ** power``."""
-    base = [Fraction(b) for b in base]
-    out = [Fraction(1)]
-    for _ in range(power):
-        new = [Fraction(0)] * (len(out) + len(base) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(base):
-                new[i + j] += a * b
-        out = new
-    return out
+def _mp_relay_cdf(k1, k3, theta, mean, dps=60):
+    """The z average of P(k1, mean + theta*x), x ~ Gamma(k3, 1), by
+    arbitrary-precision quadrature, with breakpoints where the integrand
+    turns: at the knot x = (k1 - mean)/theta where the first-hop argument
+    reaches k1, at a quarter of it, at the Gamma bulk k3 and far right."""
+    with mp.workdps(dps):
+        f = lambda x: (mp.gammainc(k1, 0, mean + theta * x, regularized=True)
+                       * x ** (k3 - 1) * mp.exp(-x) / mp.gamma(k3))
+        knot = mp.mpf(k1 - mean) / theta
+        points = sorted({mp.mpf(0), knot / 4, knot, mp.mpf(k3), 4 * (knot + k3)})
+        return mp.quad(f, points + [mp.inf])
 
 
-@pytest.fixture
-def exact_poly_power():
-    """Independent oracle for polynomial powers, in exact rationals."""
-    return _exact_poly_power
+# (k1, k3, theta, mean): first-hop and loop-interference shapes, then the
+# relay kernel's two arguments; the (12, 2, ...) case sits near 1e-24
+RELAY_CASES = [(1, 1, 0.5, 0.3), (3, 2, 0.02, 0.7), (6, 1, 2.0, 1e-3),
+               (2, 3, 1e-4, 1e-5), (12, 2, 1e-3, 0.05), (4, 2, 5.0, 0.0)]
+
+
+@pytest.fixture(scope="session")
+def relay_cdf_references():
+    """The relay kernel's cases and their 60-digit references, computed once."""
+    return [(case, float(_mp_relay_cdf(*case))) for case in RELAY_CASES]

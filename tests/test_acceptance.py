@@ -7,7 +7,6 @@ statistical but fully seeded: every run evaluates identical draws.
 import json
 import math
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,13 +20,13 @@ from fdnoma import (
     estimate_all_users,
     fd_thresholds_rate_matched,
     hd_outage_all,
-    multinomial_coeffs,
     op_asymptotic,
     op_exact,
     op_lower_bound,
     op_oracle_2d,
     ordered_sf,
 )
+from fdnoma.analytic import _relay_cdf
 from fdnoma.channel import draw_batch, seeded_stream
 from fdnoma.cli import SweepSpec, run_sweep
 from fdnoma.config import config_to_dict, gamma_laws
@@ -297,14 +296,8 @@ def test_criterion_08_estimation_error_floor():
     )
 
 
-def test_criterion_09_statistical_kernels(exact_poly_power):
-    worst = 0.0
-    for power in range(0, 9):
-        for k in range(1, 9):
-            got = multinomial_coeffs(power, k)
-            want = exact_poly_power([Fraction(1, math.factorial(j)) for j in range(k)], power)
-            for g, w in zip(got, want):
-                worst = max(worst, abs(g - float(w)) / float(w))
+def test_criterion_09_statistical_kernels(relay_cdf_references):
+    worst = max(abs(float(_relay_cdf(*case)) - want) / want for case, want in relay_cdf_references)
     cfg = default_config(rx_antennas=2, li_quality_mu=0.2)
     dc = derive_constants(cfg)
     n = 1_000_000
@@ -320,7 +313,7 @@ def test_criterion_09_statistical_kernels(exact_poly_power):
     ok = worst < 1e-12 and max(ks) < 0.002
     assert _report(
         9, ok,
-        f"kernels: power-series coefficients exact to {worst:.1e} (<1e-12); "
+        f"kernels: relay kernel within {worst:.1e} of 60-digit quadrature (<1e-12); "
         f"sampler KS max {max(ks):.5f} (<0.002) at 1e6 draws",
     )
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
-from fdnoma import default_config
+from fdnoma import analytic, default_config
 from fdnoma.cli import SweepSpec, main, run_sweep, validate_config
 from fdnoma.config import ConfigError, config_to_dict
 
@@ -275,9 +275,10 @@ def test_main_rejects_bad_inputs(cfg_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_main_numeric_failure_exit_code(cfg_file, tmp_path, capsys):
-    # far beyond the double-precision resolution of the alternating sum:
-    # surfaced as a numeric failure, not a silent wrong answer
+def test_main_numeric_failure_exit_code(cfg_file, tmp_path, capsys, monkeypatch):
+    # a rule one node per unit of log gain cannot pass its 1e-12 halving
+    # check: surfaced as a numeric failure, not a silent wrong answer
+    monkeypatch.setattr(analytic, "_EXACT_STEP", 1.0)
     out = tmp_path / "deep.csv"
     rc = main([
         "--config", str(cfg_file),
@@ -506,9 +507,11 @@ def test_sweep_draws_each_block_once(cfg_file, tmp_path, monkeypatch):
 
 def test_numeric_failure_spends_no_monte_carlo_time(tmp_path, capsys, monkeypatch):
     # the analytic cells come first: a sweep that ends in a numeric failure
-    # exits 2 without ever calling the Monte Carlo engine
+    # (an exact rule too coarse to pass its halving check) exits 2 without
+    # ever calling the Monte Carlo engine
     import fdnoma.cli as cli_mod
 
+    monkeypatch.setattr(analytic, "_EXACT_STEP", 1.0)
     calls = []
     monkeypatch.setattr(cli_mod, "_estimate", lambda *a, **k: calls.append(a) or [])
     cfg = default_config(tx_antennas=3, rx_antennas=2, m_sr=2)

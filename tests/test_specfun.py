@@ -6,41 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fdnoma import multinomial_coeffs, ordered_sf
-from fdnoma.specfun import order_weights, ordered_cdf, ordered_logpdf
-
-
-def test_multinomial_trivial_cases():
-    assert multinomial_coeffs(0, 5).tolist() == [1.0]
-    assert multinomial_coeffs(1, 3) == pytest.approx([1.0, 1.0, 0.5])
-
-
-def test_multinomial_squared_coefficient():
-    # x^2 coefficient of (1 + x + x^2/2)^2
-    t = multinomial_coeffs(2, 3)
-    assert t[2] == pytest.approx(2.0, rel=1e-15)
-    assert len(t) == 2 * 2 + 1
-
-
-@pytest.mark.parametrize("power", [0, 1, 2, 3, 5, 8])
-@pytest.mark.parametrize("base_terms", [1, 2, 4, 8])
-def test_multinomial_against_exact_rationals(power, base_terms, exact_poly_power):
-    got = multinomial_coeffs(power, base_terms)
-    want = exact_poly_power([Fraction(1, math.factorial(k)) for k in range(base_terms)], power)
-    assert len(got) == power * (base_terms - 1) + 1
-    assert got[0] == 1.0
-    for g, w in zip(got, want):
-        assert g == pytest.approx(float(w), rel=1e-12)
-
-
-def test_multinomial_generating_function_identity(rng):
-    # sum_j coeffs[j] x^j equals (sum_{n<K} x^n/n!)^power at sample points
-    for power, k in [(2, 3), (3, 4), (4, 6)]:
-        coeffs = multinomial_coeffs(power, k)
-        for x in rng.uniform(0.0, 3.0, 5):
-            lhs = np.polynomial.polynomial.polyval(x, coeffs)
-            rhs = sum(x ** n / math.factorial(n) for n in range(k)) ** power
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+from fdnoma import ordered_sf
+from fdnoma.specfun import ordered_cdf, ordered_logpdf
 
 
 def reference_ordered_sf(x, order, n, shape, scale):
@@ -63,18 +30,6 @@ def mp_ordered_cdf(x, order, n, shape, scale):
     with mp.workdps(50):
         F = mp.gammainc(shape, 0, mp.mpf(x) / scale, regularized=True)
         return float(mp.fsum(mp.binomial(n, j) * F ** j * (1 - F) ** (n - j) for j in range(order, n + 1)))
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_order_weights_expand_the_ordered_density(n, exact_poly_power):
-    # rank * F**(l-1) * S**(n-l) with F = 1 - S, coefficient by coefficient in S
-    for l in range(1, n + 1):
-        rank = Fraction(math.factorial(n), math.factorial(n - l) * math.factorial(l - 1))
-        want = [0] * (n - l) + [rank * c for c in exact_poly_power([1, -1], l - 1)]
-        got = [0] * n
-        for r, w in order_weights(l, n):
-            got[r] += w
-        assert got == want
 
 
 def test_ordered_sf_relative_accuracy_in_deep_tail():
@@ -101,6 +56,52 @@ def test_ordered_cdf_relative_accuracy_in_deep_lower_tail():
                     got = ordered_cdf(xs, l, n, shape, scale)
                     want = np.array([mp_ordered_cdf(x, l, n, shape, scale) for x in xs])
                     assert np.abs(got / want - 1.0).max() <= 1e-12, (l, n, shape, scale)
+
+
+def order_weights(order, n):
+    """The ordered density ``rank * F**(l-1) * S**(n-l) * f`` expanded in
+    powers of ``S = 1 - F``: the pairs ``(r_j, w_j)`` with ``r_j = n - l + j``
+    and ``w_j = (-1)**j * rank * C(l-1, j)``."""
+    rank = math.comb(n, order) * order
+    return [(n - order + j, (-1) ** j * rank * math.comb(order - 1, j)) for j in range(order)]
+
+
+def exact_poly_power(base, power):
+    """Exact rational coefficients of ``(sum_k base[k] * x**k) ** power``."""
+    out = [Fraction(1)]
+    for _ in range(power):
+        new = [Fraction(0)] * (len(out) + len(base) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(base):
+                new[i + j] += a * Fraction(b)
+        out = new
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_order_weights_expand_the_ordered_density(n):
+    # rank * F**(l-1) * S**(n-l) with F = 1 - S, coefficient by coefficient
+    # in S; summed at 100 digits (it cancels to F**(l-1), ~1e-68 at the
+    # smallest x), the expansion is the density that ordered_logpdf returns
+    for l in range(1, n + 1):
+        rank = Fraction(math.factorial(n), math.factorial(n - l) * math.factorial(l - 1))
+        want = [0] * (n - l) + [rank * c for c in exact_poly_power([1, -1], l - 1)]
+        got = [0] * n
+        for r, w in order_weights(l, n):
+            got[r] += w
+        assert got == want
+        for shape in (1, 2, 4):
+            scale = 1.5
+            xs = np.geomspace(1e-3, 30.0, 25) * scale
+            with mp.workdps(100):
+                dens = []
+                for x in xs:
+                    t = mp.mpf(x) / scale
+                    S = mp.gammainc(shape, t, mp.inf, regularized=True)
+                    f = t ** (shape - 1) * mp.exp(-t) / (mp.gamma(shape) * scale)
+                    dens.append(float(mp.fsum(w * S ** r for r, w in order_weights(l, n)) * f))
+            got_pdf = np.exp(ordered_logpdf(xs, l, n, shape, scale))
+            assert np.abs(got_pdf / np.array(dens) - 1.0).max() <= 1e-12, (l, n, shape)
 
 
 def test_ordered_cdf_and_sf_add_to_one():
