@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .analytic import (
     AsymptoteReport,
     NumericsError,
-    cee_floor,
     op_asymptotic,
     op_exact,
     op_lower_bound,
@@ -50,7 +49,6 @@ __all__ = [
     "NumericsError",
     "OutageEstimate",
     "SystemConfig",
-    "cee_floor",
     "config_hash",
     "default_config",
     "derive_constants",

@@ -19,9 +19,9 @@ Four routes to the same quantity, used to cross-validate each other:
 * :func:`op_lower_bound` - the two-hop SIDNR bounded by the smaller of
   the per-hop ratios: the same kernel at one point, and the head.
 * :func:`op_asymptotic` - high-SNR behavior: diversity order and array
-  gain when the outage decays, explicit floor values when residual loop
-  interference (full cancellation quality lost; the kernel without relay
-  noise) or channel estimation errors dominate.
+  gain when the outage decays; when residual loop interference (full
+  cancellation quality lost) or channel estimation errors floor it, the
+  floor is the user view at SNR -> inf, evaluated as an outage.
 
 :func:`op_exact` and :func:`op_oracle_2d` share the head,
 :func:`~fdnoma.specfun.ordered_logpdf`, the a-axis (:func:`_a_axis`) and
@@ -33,10 +33,11 @@ deep-tail values), and Monte Carlo is the only fully independent route.
 All four read one private view of user l's problem (:class:`_User`, from
 :func:`_user_view`): the three Gamma links of
 :func:`~fdnoma.config.gamma_laws` (MRT first hop, one ordered MRC user
-gain, loop interference), the user's SIDNR constants and the outage
-floor ``c`` of the ordered gain.  An infeasible user has no view (its
-outage is 1); the closed forms need i.i.d. user gains, so unequal user
-statistics raise :class:`~fdnoma.config.ConfigError`.
+gain, loop interference), the user's SIDNR constants, written free of
+the SNR except for the noise terms and the loop-interference scale, and
+the outage floor ``c`` of the ordered gain.  An infeasible user has no
+view (its outage is 1); the closed forms need i.i.d. user gains, so
+unequal user statistics raise :class:`~fdnoma.config.ConfigError`.
 
 Every quadrature uses one halving-checked log-axis trapezoid rule, written
 once (:func:`_window`, :func:`_trapezoid`, :func:`_check_halving`), and
@@ -46,7 +47,7 @@ raises :class:`NumericsError` rather than return a value it cannot back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +63,6 @@ __all__ = [
     "op_oracle_2d",
     "op_lower_bound",
     "op_asymptotic",
-    "cee_floor",
     "tail_weight_integral",
 ]
 
@@ -74,11 +74,14 @@ class NumericsError(RuntimeError):
 
 
 class _User(NamedTuple):
-    """User ``l`` of ``L``: link shapes ``k*`` and scales ``s*`` (first hop,
-    user gain, loop interference), the linear SNR ``g``, the SIDNR
-    constants ``t2`` (user noise), ``t3`` (distortion amplification),
-    ``t4`` (loop-interference de-rating), ``t5`` (relay noise) and the
-    peak demand ``dmax``."""
+    """User ``l`` of ``L``, in SNR-free constants: link shapes ``k*`` and
+    scales ``s*`` (first hop, user gain, loop interference), the SIDNR
+    constants ``t2`` (user noise over the SNR), ``t3`` (distortion
+    amplification), ``t4`` (loop-interference de-rating), ``t5`` (relay
+    noise over the SNR) and ``D``, the SNR times the peak demand (its
+    threshold over its margin).  Given y and z the outage needs
+    g1 / s1 < (y + t2) * t3 * D * (t4*z + t5) / (s1 * (y - c)) above the
+    floor c; the SNR enters only through ``t2``, ``t5`` and ``s3``."""
 
     l: int
     L: int
@@ -88,16 +91,15 @@ class _User(NamedTuple):
     s1: float
     s2: float
     s3: float
-    g: float
     t2: float
     t3: float
     t4: float
     t5: float
-    dmax: float
+    D: float
 
     @property
     def c(self) -> float:
-        return self.t2 * self.t3 * self.dmax
+        return self.t2 * self.t3 * self.D
 
 
 def _user_view(dc: DerivedConstants, user: int) -> _User | None:
@@ -110,9 +112,10 @@ def _user_view(dc: DerivedConstants, user: int) -> _User | None:
     (k1, k2, k3), (s1, s2, s3) = gamma_laws(dc)
     if len(set(k2)) > 1 or len(set(s2)) > 1:
         raise ConfigError("analytic outage requires identical fading shape and distance for all users")
+    g = dc.snr_lin
     return _User(
-        user, L, k1, k2[0], k3, s1, s2[0], s3, dc.snr_lin, float(dc.noise_ru[user - 1]),
-        dc.rhi_amp, dc.sr_derate, dc.noise_sr, float(dc.demand_peak[user - 1]),
+        user, L, k1, k2[0], k3, s1, s2[0], s3, float(dc.noise_ru[user - 1]) / g,
+        dc.rhi_amp, dc.sr_derate, dc.noise_sr / g, float(dc.demand_peak[user - 1]) * g,
     )
 
 
@@ -269,23 +272,24 @@ def _a_axis(view: _User):
     by :func:`op_exact` and :func:`op_oracle_2d`: the scan nodes that pick
     its window and ``rows(a)``, which gives (log weight, log need factor)
     per node.  The log weight is a + log f(y) for the ordered density f,
-    and g1 < need(y, z) reads g1 / s1 < exp(log need factor) * (g*t4*z + t5).
+    and g1 < need(y, z) reads g1 / s1 < exp(log need factor) * (t4*z + t5).
 
     The scan is anchored at the user-gain scale and, far left of it at
-    high SNR, at the distance above the floor where need(y, 0) falls to s1
-    and the first-hop CDF leaves 1.
+    high SNR, at the distance above the floor where need(y, z) at the
+    loop-interference scale z = s3 falls to s1 and the first-hop CDF
+    leaves 1.
     """
-    l, L, k1, k2, k3, s1, s2, s3, g, t2, t3, t4, t5, dmax = view
+    l, L, k1, k2, k3, s1, s2, s3, t2, t3, t4, t5, D = view
     c = view.c
-    log_need0 = math.log(t3 * dmax / (g * s1))
+    log_need0 = math.log(t3 * D / s1)
 
     def rows(a):
         y = c + np.exp(a)
-        return a + ordered_logpdf(y, l, L, k2, s2), np.log(y * g + t2) + log_need0 - a
+        return a + ordered_logpdf(y, l, L, k2, s2), np.log(y + t2) + log_need0 - a
 
     left, right = _ORACLE_REACH
     log_s2 = math.log(s2)
-    a_turn = math.log((c * g + t2) * t5) + log_need0
+    a_turn = math.log((c + t2) * (t5 + t4 * s3)) + log_need0
     return np.arange(min(a_turn, log_s2) - left, log_s2 + right, _ORACLE_SCAN_STEP), rows
 
 
@@ -304,7 +308,7 @@ def _op_exact(view: _User | None) -> float:
         log_w, log_need = rows(a)
         r = np.exp(log_need)
         with np.errstate(divide="ignore"):
-            return log_w + np.log(_relay_cdf(view.k1, view.k3, r * view.g * view.t4 * view.s3, r * view.t5))
+            return log_w + np.log(_relay_cdf(view.k1, view.k3, r * view.t4 * view.s3, r * view.t5))
 
     name = lambda i: "exact body in a = log(y - c)"
     lo, hi = _window(a_scan, phi(a_scan)[None], name)
@@ -361,7 +365,7 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
     view = _user_view(derive_constants(cfg), user)
     if view is None:
         return 1.0
-    k1, k3, scale3, g, t4, t5 = view.k1, view.k3, view.s3, view.g, view.t4, view.t5
+    k1, k3, scale3, t4, t5 = view.k1, view.k3, view.s3, view.t4, view.t5
     head = ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
 
     # The integrand factors into a row part in a = log(y - c), a column
@@ -371,7 +375,7 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
 
     def cols(b):
         z = np.exp(b)
-        return b + ordered_logpdf(z, 1, 1, k3, scale3), np.log(z * g * t4 + t5)
+        return b + ordered_logpdf(z, 1, 1, k3, scale3), np.log(z * t4 + t5)
 
     def phi(row, col):
         """log of the body's integrand in (a, b), rows by columns."""
@@ -421,6 +425,15 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
 
 # -- closed-form lower bound ------------------------------------------------
 
+def _relay_ratio_cdf(view: _User) -> float:
+    """F_W = P(g1 < x_w*(z + v)) with x_w = t3*t4*D and v = t5/t4: the
+    outage need of the first hop alone (the user gain taken as unbounded),
+    :func:`_relay_cdf` at one point."""
+    x_w = view.t3 * view.t4 * view.D
+    v = view.t5 / view.t4
+    return float(_relay_cdf(view.k1, view.k3, x_w * view.s3 / view.s1, x_w * v / view.s1))
+
+
 def op_lower_bound(cfg: SystemConfig, user: int) -> float:
     """Closed-form lower bound on the exact outage.
 
@@ -428,15 +441,13 @@ def op_lower_bound(cfg: SystemConfig, user: int) -> float:
     ratios (the harmonic-mean property), whose survival factorizes into
     the relay-ratio survival and the ordered-gain survival.  The bound is
     written from the two CDFs, F_W + F_2 - F_W*F_2, so that it keeps
-    relative accuracy when both are small: F_W = P(g1 < x_w*(g3 + v)) is
-    :func:`_relay_cdf`, and F_2 is the head of :func:`op_exact`.
+    relative accuracy when both are small: F_W is :func:`_relay_ratio_cdf`
+    and F_2 is the head of :func:`op_exact`.
     """
     view = _user_view(derive_constants(cfg), user)
     if view is None:
         return 1.0
-    x_w = view.g * view.t3 * view.t4 * view.dmax
-    v = view.t5 / (view.g * view.t4)
-    f_w = float(_relay_cdf(view.k1, view.k3, x_w * view.s3 / view.s1, x_w * v / view.s1))
+    f_w = _relay_ratio_cdf(view)
     f_2 = ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
     return min(f_w + f_2 - f_w * f_2, 1.0)
 
@@ -452,6 +463,8 @@ class AsymptoteReport:
     interference scales with transmit power, outage saturates) or
     ``cee_floor`` (channel estimation errors dominate, outage
     saturates); ``infeasible`` marks a configuration whose outage is 1.
+    In the two floor regimes ``floor_value`` is the exact outage in the
+    limit SNR -> inf, which the finite-SNR outage approaches from above.
     In the ideal regime ``array_gain`` is the per-hop gain coefficient of
     the hop with the smaller diversity order; when the orders tie at d,
     the hops' asymptotes add, ``(chi1 * snr) ** -d + (chi2 * snr) ** -d``,
@@ -471,22 +484,17 @@ class AsymptoteReport:
         return self.floor_value
 
 
-def cee_floor(cfg: SystemConfig, user: int, *, snr_ref_db: float = 60.0) -> float:
-    """Outage floor under channel estimation errors.
-
-    At high SNR the effective noise terms grow linearly with power, so
-    the exact expression stops depending on the SNR; it is evaluated at a
-    large reference SNR with the noise terms replaced by their
-    power-proportional parts (a hop with zero error variance keeps its
-    exact noise term).
-    """
-    if cfg.sigma_e_sr_sq == 0.0 and cfg.sigma_e_ru_sq == 0.0:
-        raise ValueError("cee_floor requires a non-zero estimation error variance")
-    view = _user_view(derive_constants(replace(cfg, snr_db=snr_ref_db)), user)
-    if view is not None and cfg.sigma_e_ru_sq > 0.0:
-        view = view._replace(t2=view.g * cfg.sigma_e_ru_sq)
-    if view is not None and cfg.sigma_e_sr_sq > 0.0:
-        view = view._replace(t5=view.g * cfg.sigma_e_sr_sq)
+def _op_floor(view: _User) -> float:
+    """Outage of a high-SNR limit view, whose ``t2``, ``t5`` and ``s3`` are
+    their SNR -> inf limits.  With no user-side error (t2 = 0) the floor c
+    is 0 and need does not depend on y, so the outage is the first hop's
+    :func:`_relay_ratio_cdf`; with neither relay-side error nor loop
+    interference the need above c is 0 and the outage is the head;
+    otherwise it is the exact route on the limit view."""
+    if view.t2 == 0.0:
+        return _relay_ratio_cdf(view)
+    if view.t5 == 0.0 and view.s3 == 0.0:
+        return ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
     return _op_exact(view)
 
 
@@ -503,27 +511,21 @@ def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:
             floor_value=1.0,
         )
     l, k1, k2, k3 = view.l, view.k1, view.k2, view.k3
-    if cfg.sigma_e_sr_sq > 0.0 or cfg.sigma_e_ru_sq > 0.0:
+    cee = cfg.sigma_e_sr_sq > 0.0 or cfg.sigma_e_ru_sq > 0.0
+    if cee or cfg.li_quality_mu == 1.0:
+        # The view at SNR -> inf: the noise terms keep only their
+        # estimation-error parts, and the loop interference keeps its
+        # scale at mu = 1 and vanishes below it.
+        limit = view._replace(t2=cfg.sigma_e_ru_sq, t5=cfg.sigma_e_sr_sq,
+                              s3=view.s3 if cfg.li_quality_mu == 1.0 else 0.0)
         return AsymptoteReport(
-            user=l, regime="cee_floor", diversity_order=0.0, array_gain=None,
-            floor_value=cee_floor(cfg, l),
+            user=l, regime="cee_floor" if cee else "li_floor", diversity_order=0.0,
+            array_gain=None, floor_value=_op_floor(limit),
         )
 
-    lam = view.dmax * view.g  # SNR-free demand level
+    lam = view.D  # SNR-free demand level
     hop2_amp = 1.0 + cfg.kappa_sr ** 2
     hop1_amp = 1.0 + cfg.kappa_ru ** 2
-
-    if cfg.li_quality_mu == 1.0:
-        # Loop interference grows with transmit power: the first hop
-        # saturates and sets a floor shared by the whole curve.  The
-        # residual interference power is SNR-free here (scale * snr**0),
-        # so the relay noise share of W vanishes; no estimation error
-        # reaches this branch, so the estimated S-R power is the true one.
-        floor = float(_relay_cdf(k1, k3, hop1_amp * lam * view.s3 / view.s1, 0.0))
-        return AsymptoteReport(
-            user=l, regime="li_floor", diversity_order=0.0, array_gain=None,
-            floor_value=floor,
-        )
 
     do1 = (1.0 - cfg.li_quality_mu) * k1
     do2 = k2 * l

@@ -9,7 +9,6 @@ from scipy import integrate, special, stats
 
 from fdnoma import (
     NumericsError,
-    cee_floor,
     default_config,
     derive_constants,
     estimate,
@@ -285,13 +284,14 @@ class TestExactVsOracle:
             op_exact(cfg, 1)
 
     def test_one_tolerance_governs_both_rules(self, monkeypatch):
-        monkeypatch.setattr(analytic, "_REL_TOL", 1e-30)
-        with pytest.raises(NumericsError, match="step-halving"):
-            tail_weight_integral(0, 0.5, 0.2, 0.1, 1)
-        # a point whose fine and coarse oracle sums differ at every step down
-        # to the floor (at mu 0.2 they round to the same double at step 0.1)
-        with pytest.raises(NumericsError, match="step-halving"):
-            op_oracle_2d(default_config(li_quality_mu=0.5, snr_db=30.0), 1)
+        # a negative tolerance no rule can meet: every log-axis rule must
+        # read it and raise
+        monkeypatch.setattr(analytic, "_REL_TOL", -1.0)
+        cfg = default_config(li_quality_mu=0.5, snr_db=30.0)
+        for route in (lambda: tail_weight_integral(0, 0.5, 0.2, 0.1, 1),
+                      lambda: op_exact(cfg, 1), lambda: op_oracle_2d(cfg, 1)):
+            with pytest.raises(NumericsError, match="step-halving"):
+                route()
 
     @pytest.mark.parametrize("kw, user", [
         (dict(tx_antennas=2, rx_antennas=2, snr_db=120.0), 1),  # ~3.2e-19
@@ -492,19 +492,29 @@ class TestAsymptotics:
         assert e60 == pytest.approx(r.floor_value, rel=0.01)
 
     def test_cee_floor_flat_and_reached(self):
+        # the floor is the SNR -> inf limit: the exact route settles on it
         cfg = default_config(sigma_e_sr_sq=0.03, sigma_e_ru_sq=0.03, li_quality_mu=0.2)
-        f6 = cee_floor(cfg, 2, snr_ref_db=60.0)
-        f7 = cee_floor(cfg, 2, snr_ref_db=70.0)
-        assert abs(f6 - f7) / f6 < 0.005
         r = op_asymptotic(cfg, 2)
         assert r.regime == "cee_floor"
-        assert r.floor_value == pytest.approx(f6)
-        e40 = op_exact(replace(cfg, snr_db=40.0), 2)
-        assert e40 == pytest.approx(f6, rel=0.10)
+        assert r.probability(1e3) == r.probability(1e30) == r.floor_value
+        for snr_db in (150.0, 300.0):
+            assert op_exact(replace(cfg, snr_db=snr_db), 2) == pytest.approx(r.floor_value, rel=1e-9)
+        assert op_exact(replace(cfg, snr_db=40.0), 2) == pytest.approx(r.floor_value, rel=0.10)
 
-    def test_cee_floor_requires_error_variance(self, ideal_cfg):
-        with pytest.raises(ValueError):
-            cee_floor(ideal_cfg, 1)
+    @pytest.mark.parametrize("mu, sigma_sr, sigma_ru", [
+        *((mu, sr, ru) for mu in (0.0, 0.2, 0.5, 1.0) for sr, ru in ((0.0, 0.03), (0.03, 0.0), (0.03, 0.03))),
+        (1.0, 0.0, 0.0),
+    ])
+    @pytest.mark.parametrize("antennas", [(1, 1), (3, 2)], ids=["1x1", "3x2"])
+    def test_floor_is_the_limit_of_exact(self, antennas, mu, sigma_sr, sigma_ru):
+        # every floor, estimation errors and saturated cancellation alike,
+        # is the exact outage at SNR -> inf (300 dB stands in for it)
+        cfg = default_config(tx_antennas=antennas[0], rx_antennas=antennas[1], li_quality_mu=mu,
+                             sigma_e_sr_sq=sigma_sr, sigma_e_ru_sq=sigma_ru)
+        for u in (1, 2, 3):
+            r = op_asymptotic(cfg, u)
+            assert r.regime == ("cee_floor" if sigma_sr or sigma_ru else "li_floor")
+            assert r.floor_value == pytest.approx(op_exact(replace(cfg, snr_db=300.0), u), rel=1e-9, abs=0)
 
     def test_slope_matches_diversity_order(self):
         cfg = lambda s: default_config(li_quality_mu=0.5, snr_db=s)
