@@ -11,7 +11,9 @@ Four routes to the same quantity, used to cross-validate each other:
   whose mean is Gamma-distributed is negative binomial; Greenwood & Yule,
   J. R. Stat. Soc. 83, 1920).  The body is one integral over
   a = log(y - c) of the ordered density times that kernel, by the
-  halving-checked log-axis trapezoid rule.
+  halving-checked log-axis trapezoid rule: started on the nodes of the
+  scan that picks its window (step 0.25) and halved, evaluating only
+  the new midpoints, while its check fails (floor 0.03125).
 * :func:`op_oracle_2d` - the same head and the same a-axis, with z
   integrated numerically instead: a tensor-product trapezoid over a and
   b = log z, started at step 0.1 and halved, reusing every node, while
@@ -40,8 +42,10 @@ view (its outage is 1); the closed forms need i.i.d. user gains, so
 unequal user statistics raise :class:`~fdnoma.config.ConfigError`.
 
 Every quadrature uses one halving-checked log-axis trapezoid rule, written
-once (:func:`_window`, :func:`_trapezoid`, :func:`_check_halving`), and
-raises :class:`NumericsError` rather than return a value it cannot back.
+once (:func:`_window`, :func:`_trapezoid`, :func:`_check_halving`; the
+exact outage lays its nodes on the scan instead of :func:`_trapezoid`'s
+grid), and raises :class:`NumericsError` rather than return a value it
+cannot back.
 """
 
 from __future__ import annotations
@@ -136,8 +140,14 @@ def _window(scan, phi, name):
     last = len(scan) - np.argmax(inside[:, ::-1], axis=1)
     bad = np.flatnonzero((first < 0) | (last >= len(scan)))
     if len(bad):
-        raise NumericsError(f"{name(bad[0])} not contained in the log-axis scan [{scan[0]:g}, {scan[-1]:g}]")
+        raise _uncontained(name(bad[0]), scan)
     return scan[first], scan[last]
+
+
+def _uncontained(what, scan):
+    """The :class:`NumericsError` of an integrand ``what`` whose window
+    reaches an end of the log-axis ``scan``."""
+    return NumericsError(f"{what} not contained in the log-axis scan [{scan[0]:g}, {scan[-1]:g}]")
 
 
 def _trapezoid(lo, hi, step, min_intervals):
@@ -156,8 +166,8 @@ def _check_halving(fine, coarse, name):
     """Raise :class:`NumericsError` where a rule (``fine``) and the same rule
     on every other node (``coarse``) differ by more than ``_REL_TOL``
     relative; ``name(i)`` names element i."""
-    rel_err = np.abs(fine - coarse) / fine
-    worst = int(np.argmax(rel_err))
+    rel_err = np.ravel(np.abs(fine - coarse) / fine)
+    worst = int(rel_err.argmax())
     if not rel_err[worst] <= _REL_TOL:
         raise NumericsError(f"{name(worst)} did not converge (step-halving relative error {rel_err[worst]:.2e})")
 
@@ -258,13 +268,13 @@ def _relay_cdf(k1: int, k3: int, theta, mean):
     return (np.exp(log_nb) * gammainc(k1 - j, mean)).sum(axis=0) + betainc(k1, k3, theta / (1.0 + theta))
 
 
-# Step of the exact outage's trapezoid rule on the a-axis, the step of the
-# scan that picks the window of both body rules, and how far the scan
-# reaches beyond the data anchors (below the leftmost anchor, above the
-# rightmost one).
-_EXACT_STEP = 0.05
+# Step of the scan that picks the window of both body rules, how far the
+# scan reaches beyond the data anchors (below the leftmost anchor, above
+# the rightmost one), and how often the exact outage may halve the scan
+# step while its check fails (floor 0.25 / 8 = 0.03125).
 _ORACLE_SCAN_STEP = 0.25
 _ORACLE_REACH = (50.0, 8.0)
+_EXACT_HALVINGS = 3
 
 
 def _a_axis(view: _User):
@@ -296,29 +306,55 @@ def _a_axis(view: _User):
 def _op_exact(view: _User | None) -> float:
     """Exact outage probability of one user view (1 for None): the head
     P(y <= c) plus the body, the integral over a = log(y - c) of the
-    ordered density times :func:`_relay_cdf`, by the trapezoid rule at
-    step ``_EXACT_STEP`` on the window of :func:`_a_axis`'s scan and
-    checked against the rule on every other node."""
+    ordered density times :func:`_relay_cdf`.
+
+    The body is a nested trapezoid rule built on :func:`_a_axis`'s scan:
+    its first level is the scan nodes of the window (widened by one node
+    when its interval count is odd), so no node is evaluated twice.
+    While the check against the rule on every other node fails, the step
+    is halved and only the new midpoints are evaluated, at most
+    ``_EXACT_HALVINGS`` times; a check that still fails then raises
+    :class:`NumericsError`, as does a window at an end of the scan."""
     if view is None:
         return 1.0
     head = ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
     a_scan, rows = _a_axis(view)
+    k1, k3, theta_r, mean_r = view.k1, view.k3, view.t4 * view.s3, view.t5
 
     def phi(a):
         log_w, log_need = rows(a)
         r = np.exp(log_need)
-        with np.errstate(divide="ignore"):
-            return log_w + np.log(_relay_cdf(view.k1, view.k3, r * view.t4 * view.s3, r * view.t5))
+        return log_w + np.log(_relay_cdf(k1, k3, r * theta_r, r * mean_r))
 
     name = lambda i: "exact body in a = log(y - c)"
-    lo, hi = _window(a_scan, phi(a_scan)[None], name)
-    h, weights = _trapezoid(lo, hi, _EXACT_STEP, 2)
-    body = phi(lo + h * np.arange(len(weights)))
-    top = body.max()
-    f = weights * np.exp(body - top)
-    fine, coarse = h * f.sum(), 2.0 * h * f[::2].sum()
-    _check_halving(fine, coarse, name)
-    return float(min(head + math.exp(top) * fine[0], 1.0))
+    with np.errstate(divide="ignore"):
+        scan = phi(a_scan)
+        lo, hi = _window(a_scan, scan[None], name)
+        first, last = np.searchsorted(a_scan, (lo[0], hi[0]))
+        if (last - first) % 2:
+            # an even interval count: the rule on every other node keeps both ends
+            last += 1
+            if last == len(a_scan):
+                raise _uncontained(name(0), a_scan)
+        body = scan[first:last + 1]
+        top = body.max()
+        f = np.exp(body - top)
+        # the rule on every other node, then per level its new nodes: the
+        # odd nodes, then the midpoints of each halving
+        coarse_sum = 0.5 * (f[0] + f[-1]) + f[2:-1:2].sum()
+        fresh, h, n = f[1::2], _ORACLE_SCAN_STEP, last - first
+        for level in range(_EXACT_HALVINGS + 1):
+            fine_sum = coarse_sum + fresh.sum()
+            try:
+                _check_halving(h * fine_sum, 2.0 * h * coarse_sum, name)
+                break
+            except NumericsError:
+                if level == _EXACT_HALVINGS:
+                    raise
+            coarse_sum, h = fine_sum, h / 2
+            fresh = np.exp(phi(lo[0] + h * np.arange(1, 2 * n, 2)) - top)
+            n *= 2
+    return float(min(head + math.exp(top) * h * fine_sum, 1.0))
 
 
 def op_exact(cfg: SystemConfig, user: int) -> float:

@@ -71,20 +71,17 @@ def ordered_logpdf(x, order: int, num_users: int, shape: int, scale: float):
     Gamma(shape, scale) gains at ``x >= 0``.
 
     The binomial form ``rank * F**(l-1) * S**(L-l) * f``, ``rank = L! /
-    ((L-l)! (l-1)!)``; ``xlogy`` makes each absent factor (``l = 1``,
-    ``l = L``, ``shape = 1``) exactly 0 in log space, so ``order =
-    num_users = 1`` is the Gamma log density.
+    ((L-l)! (l-1)!)``.  An absent order factor (``F`` at ``l = 1``, ``S``
+    at ``l = L``) is skipped, since its log would be exactly 0, and
+    ``xlogy`` makes ``u**(shape-1)`` exactly 0 in log space at ``shape =
+    1``; so ``order = num_users = 1`` is the Gamma log density.
     """
     _check_order(order, num_users)
     l, n = order, num_users
     u = np.asarray(x, dtype=float) / scale
-    log_rank = math.lgamma(n + 1) - math.lgamma(n - l + 1) - math.lgamma(l)
-    return (
-        log_rank
-        + xlogy(l - 1, gammainc(shape, u))
-        + xlogy(n - l, gammaincc(shape, u))
-        + xlogy(shape - 1, u)
-        - u
-        - math.lgamma(shape)
-        - math.log(scale)
-    )
+    out = math.lgamma(n + 1) - math.lgamma(n - l + 1) - math.lgamma(l)
+    if l > 1:
+        out = out + xlogy(l - 1, gammainc(shape, u))
+    if l < n:
+        out = out + xlogy(n - l, gammaincc(shape, u))
+    return out + xlogy(shape - 1, u) - u - math.lgamma(shape) - math.log(scale)

@@ -194,6 +194,42 @@ class TestExactVsOracle:
             assert abs(ex - orc) / ex < 1e-12
             assert lb <= ex + 1e-6
 
+    def test_judged_on_the_reference_family(self):
+        # every user of the reference family at 0, 40 and 80 dB: exact to
+        # the oracle's tolerance, and the bound below it up to rounding
+        grid = itertools.product(((1, 1), (2, 2), (3, 2)), (1, 2), (0.0, 0.2, 0.5), (0.0, 40.0, 80.0))
+        checked = 0
+        for (tx, rx), m_sr, mu, snr in grid:
+            cfg = default_config(tx_antennas=tx, rx_antennas=rx, m_sr=m_sr, li_quality_mu=mu, snr_db=snr)
+            for u in (1, 2, 3):
+                point = (tx, rx, m_sr, mu, snr, u)
+                ex, orc = op_exact(cfg, u), op_oracle_2d(cfg, u)
+                assert abs(ex - orc) <= 1e-12 * orc, (point, ex, orc)
+                assert op_lower_bound(cfg, u) <= ex * (1 + 1e-9), point
+                checked += 1
+        assert checked == 162
+
+    def test_exact_refines_the_scan_nodes(self, monkeypatch):
+        # the rule starts on the scan's own nodes and adds only midpoints:
+        # a point that halves once evaluates at most twice the scan's nodes
+        cfg = default_config(tx_antennas=2, rx_antennas=2, li_quality_mu=0.2, snr_db=40.0)
+        scan = analytic._a_axis(analytic._user_view(derive_constants(cfg), 2))[0]
+        nodes = []
+        kernel = analytic._relay_cdf
+        monkeypatch.setattr(analytic, "_relay_cdf",
+                            lambda k1, k3, theta, mean: nodes.append(np.size(theta)) or kernel(k1, k3, theta, mean))
+        op_exact(cfg, 2)
+        assert nodes[0] == len(scan)
+        assert len(nodes) == 2  # the scan, then one level of midpoints
+        assert sum(nodes) <= 2 * len(scan)
+
+    def test_odd_window_widened_past_the_scan_raises(self, monkeypatch):
+        # a window of three intervals ending at the last scan node cannot
+        # gain the fourth its halving check needs
+        monkeypatch.setattr(analytic, "_window", lambda scan, phi, name: (scan[-4:-3], scan[-1:]))
+        with pytest.raises(NumericsError, match="not contained"):
+            op_exact(default_config(li_quality_mu=0.2, snr_db=30.0), 1)
+
     def test_reference_point(self):
         # moderate-decay loop interference, single antennas, 30 dB
         cfg = default_config(li_quality_mu=0.2, snr_db=30.0)
@@ -275,10 +311,11 @@ class TestExactVsOracle:
 
     def test_exact_unresolved_or_unscanned_body_raises(self, monkeypatch):
         cfg = default_config(li_quality_mu=0.2, snr_db=30.0)
-        monkeypatch.setattr(analytic, "_EXACT_STEP", 1.0)
+        # the scan's own step, never refined, cannot resolve the bump to 1e-12
+        monkeypatch.setattr(analytic, "_EXACT_HALVINGS", 0)
         with pytest.raises(NumericsError, match="step-halving"):
             op_exact(cfg, 1)
-        monkeypatch.setattr(analytic, "_EXACT_STEP", 0.05)
+        monkeypatch.setattr(analytic, "_EXACT_HALVINGS", 3)
         monkeypatch.setattr(analytic, "_ORACLE_REACH", (5.0, 1.0))
         with pytest.raises(NumericsError, match="scan"):
             op_exact(cfg, 1)

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammainc, gammaincc, xlogy
 
 from fdnoma import ordered_sf
 from fdnoma.specfun import ordered_cdf, ordered_logpdf
@@ -122,6 +123,31 @@ def test_ordered_logpdf_single_user_is_gamma(rng):
         assert np.abs(got - stats.gamma.logpdf(xs, a=shape, scale=scale)).max() <= 1e-12, shape
     # the exponential law's density at the origin: xlogy keeps 0 * log 0 at 0
     assert ordered_logpdf(0.0, 1, 1, 1, 2.0) == pytest.approx(-math.log(2.0), abs=1e-15)
+
+
+def test_ordered_logpdf_skips_absent_factors_bit_for_bit():
+    # the full binomial form, with F**0 at l = 1 and S**0 at l = L taken
+    # through xlogy: skipping them must not move a single bit
+    def full(x, l, n, shape, scale):
+        u = x / scale
+        return (
+            math.lgamma(n + 1) - math.lgamma(n - l + 1) - math.lgamma(l)
+            + xlogy(l - 1, gammainc(shape, u))
+            + xlogy(n - l, gammaincc(shape, u))
+            + xlogy(shape - 1, u)
+            - u
+            - math.lgamma(shape)
+            - math.log(scale)
+        )
+
+    u = np.concatenate([[0.0, 1e-300], np.geomspace(1e-30, 1e3, 4998)])
+    for n in range(1, 6):
+        for l in range(1, n + 1):
+            for shape in (1, 2, 3, 6, 12):
+                for scale in (0.05, 1.0, 30.0):
+                    x = u * scale
+                    assert np.array_equal(ordered_logpdf(x, l, n, shape, scale), full(x, l, n, shape, scale)), \
+                        (l, n, shape, scale)
 
 
 def test_ordered_logpdf_is_the_cdf_derivative():
