@@ -41,11 +41,13 @@ the outage floor ``c`` of the ordered gain.  An infeasible user has no
 view (its outage is 1); the closed forms need i.i.d. user gains, so
 unequal user statistics raise :class:`~fdnoma.config.ConfigError`.
 
-Every quadrature uses one halving-checked log-axis trapezoid rule, written
-once (:func:`_window`, :func:`_trapezoid`, :func:`_check_halving`; the
-exact outage lays its nodes on the scan instead of :func:`_trapezoid`'s
-grid), and raises :class:`NumericsError` rather than return a value it
-cannot back.
+Every quadrature uses one halving-checked log-axis trapezoid rule: a
+window on a scan (:func:`_window`) and a check against the rule on every
+other node (:func:`_check_halving`).  The 1-D integrals, the exact body
+and :func:`tail_weight_integral`, share one nested rule started on the
+scan nodes (:func:`_scan_rule`); the oracle lays its own tensor-product
+grid on the window (:func:`_trapezoid`).  Each raises
+:class:`NumericsError` rather than return a value it cannot back.
 """
 
 from __future__ import annotations
@@ -125,23 +127,25 @@ def _user_view(dc: DerivedConstants, user: int) -> _User | None:
 
 # -- the log-axis trapezoid rule --------------------------------------------
 
-# Relative step-halving tolerance of every log-axis rule.
+# Relative step-halving tolerance of every log-axis rule, and how often a
+# rule started on scan nodes may halve the scan step while its check fails
+# (floor: the scan step / 8).
 _REL_TOL = 1e-12
+_HALVINGS = 3
 
 
 def _window(scan, phi, name):
-    """Per row of ``phi`` (a log integrand on the nodes ``scan``), the window
-    [lo, hi] of every node within e^-40 of the row's peak, widened by one
-    node per side: all but ~e^-40 of the mass of a concave phi.  A window
-    at an end of the scan raises :class:`NumericsError`, naming row i by
-    ``name(i)``."""
-    inside = phi >= phi.max(axis=1, keepdims=True) - 40.0
-    first = np.argmax(inside, axis=1) - 1
-    last = len(scan) - np.argmax(inside[:, ::-1], axis=1)
-    bad = np.flatnonzero((first < 0) | (last >= len(scan)))
-    if len(bad):
-        raise _uncontained(name(bad[0]), scan)
-    return scan[first], scan[last]
+    """The indices (first, last) of the window of ``phi``, a log integrand on
+    the nodes ``scan``: every node within e^-40 of the peak, widened by one
+    node per side, which holds all but ~e^-40 of the mass of a concave phi.
+    A window at an end of the scan (or an all-NaN phi) raises
+    :class:`NumericsError`, naming the integrand ``name``."""
+    inside = phi >= phi.max() - 40.0
+    first = np.argmax(inside) - 1
+    last = len(scan) - np.argmax(inside[::-1])
+    if first < 0 or last >= len(scan):
+        raise _uncontained(name, scan)
+    return first, last
 
 
 def _uncontained(what, scan):
@@ -150,12 +154,11 @@ def _uncontained(what, scan):
     return NumericsError(f"{what} not contained in the log-axis scan [{scan[0]:g}, {scan[-1]:g}]")
 
 
-def _trapezoid(lo, hi, step, min_intervals):
-    """One trapezoid rule per window [lo, hi]: the steps and the end-halved
+def _trapezoid(lo, hi, step):
+    """The trapezoid rule on the window [lo, hi]: its step and end-halved
     weights.  The interval count is even, so the rule on every other node
-    (the halving check) keeps both ends; it is shared by every window and
-    set by the widest one, with steps of at most ``step``."""
-    n = max(min_intervals, math.ceil((hi - lo).max() / step))
+    (the halving check) keeps both ends, with steps of at most ``step``."""
+    n = math.ceil((hi - lo) / step)
     n += n % 2
     weights = np.ones(n + 1)
     weights[0] = weights[n] = 0.5
@@ -163,61 +166,55 @@ def _trapezoid(lo, hi, step, min_intervals):
 
 
 def _check_halving(fine, coarse, name):
-    """Raise :class:`NumericsError` where a rule (``fine``) and the same rule
+    """Raise :class:`NumericsError` when a rule (``fine``) and the same rule
     on every other node (``coarse``) differ by more than ``_REL_TOL``
-    relative; ``name(i)`` names element i."""
-    rel_err = np.ravel(np.abs(fine - coarse) / fine)
-    worst = int(rel_err.argmax())
-    if not rel_err[worst] <= _REL_TOL:
-        raise NumericsError(f"{name(worst)} did not converge (step-halving relative error {rel_err[worst]:.2e})")
+    relative, naming the integral ``name``."""
+    rel_err = abs(fine - coarse) / fine
+    if not rel_err <= _REL_TOL:
+        raise NumericsError(f"{name} did not converge (step-halving relative error {rel_err:.2e})")
+
+
+def _scan_rule(phi, scan, step, name):
+    """The integral of exp(phi(w)) dw by a nested trapezoid rule started on
+    the nodes ``scan`` (spaced ``step``), for a vectorized log integrand
+    ``phi`` with one concave bump.
+
+    Its first level is the scan nodes of :func:`_window` (widened by one
+    node when its interval count is odd), so no node is evaluated twice.
+    While the check against the rule on every other node fails, the step
+    is halved and only the new midpoints are evaluated, at most
+    ``_HALVINGS`` times; a check that still fails then raises
+    :class:`NumericsError`, as does a window at an end of the scan."""
+    with np.errstate(divide="ignore"):
+        values = phi(scan)
+        first, last = _window(scan, values, name)
+        if (last - first) % 2:
+            # an even interval count: the rule on every other node keeps both ends
+            last += 1
+            if last == len(scan):
+                raise _uncontained(name, scan)
+        body = values[first:last + 1]
+        top = body.max()
+        f = np.exp(body - top)
+        # the rule on every other node, then per level its new nodes: the
+        # odd nodes, then the midpoints of each halving
+        coarse_sum = 0.5 * (f[0] + f[-1]) + f[2:-1:2].sum()
+        fresh, h, n = f[1::2], step, last - first
+        for level in range(_HALVINGS + 1):
+            fine_sum = coarse_sum + fresh.sum()
+            try:
+                _check_halving(h * fine_sum, 2.0 * h * coarse_sum, name)
+                break
+            except NumericsError:
+                if level == _HALVINGS:
+                    raise
+            coarse_sum, h = fine_sum, h / 2
+            fresh = np.exp(phi(scan[first] + h * np.arange(1, 2 * n, 2)) - top)
+            n *= 2
+    return math.exp(top) * h * fine_sum
 
 
 # -- tail integral ----------------------------------------------------------
-
-def _tail_exponent(w, p, rate, inv_rate, shift, shift_power):
-    """phi(w) = log of x**(p+1) exp(-rate*x - inv_rate/x) (x+shift)**-shift_power at x = e^w."""
-    x = np.exp(w)
-    return (p + 1) * w - rate * x - shift_power * np.log(x + shift) - inv_rate / x
-
-
-def _log_tail_weights(p, rate, inv_rate, shift, shift_power):
-    """log of integral_0^inf x**p exp(-rate*x - inv_rate/x) (x+shift)**-shift_power dx, per row.
-
-    The arguments broadcast against each other, one row per element.  On
-    the log axis (x = e^w) the integrand is a smooth bump exp(phi(w)):
-    the essential zero at the origin and the exponential decay at
-    infinity become double-exponential falloffs.  phi is concave (a
-    linear term minus convex ones), so :func:`_window` on a fixed scan
-    grid of step 0.125 finds where its mass lies.  On that window the
-    trapezoid rule converges exponentially in the number of nodes
-    (Trefethen & Weideman, SIAM Rev. 2014); one node count, at least 128
-    and set by the widest window, serves every row, each row is summed
-    scaled by its largest node and checked by :func:`_check_halving`.
-    """
-    ws = np.linspace(-60.0, 45.0, 841)  # scan grid, step 0.125
-    block = 16  # rows at a time: bounds the temporaries to ~0.5 MB
-    rows = np.broadcast_arrays(
-        *(np.reshape(np.asarray(a, dtype=float), (-1, 1)) for a in (p, rate, inv_rate, shift, shift_power))
-    )
-    names = ("p", "rate", "inv_rate", "shift", "shift_power")
-    name = lambda i: "tail integral (" + ", ".join(f"{k}={a[i, 0]:g}" for k, a in zip(names, rows)) + ")"
-    blocks = [slice(i, i + block) for i in range(0, len(rows[0]), block)]
-    lo, hi, top, fine, coarse = np.empty((5, len(rows[0])))
-    for b in blocks:
-        phi = _tail_exponent(ws, *(a[b] for a in rows))
-        lo[b], hi[b] = _window(ws, phi, lambda i: name(b.start + i))
-    h, weights = _trapezoid(lo, hi, 0.1, 128)
-    nodes = np.arange(len(weights))
-    for b in blocks:
-        phi = _tail_exponent(lo[b, None] + h[b, None] * nodes, *(a[b] for a in rows))
-        top[b] = phi.max(axis=1)
-        f = np.exp(phi - top[b, None])
-        f[:, [0, -1]] *= 0.5  # trapezoid end weights, shared by the halved rule
-        fine[b] = h[b] * f.sum(axis=1)
-        coarse[b] = 2.0 * h[b] * f[:, ::2].sum(axis=1)
-    _check_halving(fine, coarse, name)
-    return top + np.log(fine)
-
 
 def tail_weight_integral(
     power: int,
@@ -231,20 +228,35 @@ def tail_weight_integral(
     ``power`` may be negative; ``inv_rate > 0`` then keeps the origin
     integrable.  With ``inv_rate == 0`` the caller must ensure
     integrability at 0 (``power >= 0`` or ``power > shift_power - 1``
-    when ``shift == 0``).  One row of the log-axis rule: raises
-    :class:`NumericsError` when its step-halving check fails (relative
-    tolerance 1e-12) or the integrand leaves the scanned range
-    (x in [e^-60, e^45]).
+    when ``shift == 0``).  ``rate`` must be positive and finite,
+    ``inv_rate`` and ``shift`` non-negative and finite (else ValueError).
+
+    On the log axis (x = e^w) the integrand is a smooth bump exp(phi(w)):
+    the essential zero at the origin and the exponential decay at
+    infinity become double-exponential falloffs, and phi is concave (a
+    linear term minus convex ones).  The integral is :func:`_scan_rule`
+    on a scan of x in [e^-60, e^45] at step 1/32, where the trapezoid
+    rule converges exponentially in the number of nodes (Trefethen &
+    Weideman, SIAM Rev. 2014).  Raises :class:`NumericsError` when its
+    step-halving check still fails at step 1/256 (relative tolerance
+    1e-12) or the integrand leaves the scanned range.
 
     No code in ``src/`` calls it.  It is kept because the benchmark's
     layer run (``bench/workloads.py``) and its CI smoke step time it, and
     it goes with ROADMAP item 1, which redefines those metrics.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    if inv_rate < 0 or shift < 0:
-        raise ValueError("inv_rate and shift must be non-negative")
-    return math.exp(_log_tail_weights(power, rate, inv_rate, shift, shift_power)[0])
+    if not 0.0 < rate < math.inf:
+        raise ValueError("rate must be positive and finite")
+    if not (0.0 <= inv_rate < math.inf and 0.0 <= shift < math.inf):
+        raise ValueError("inv_rate and shift must be non-negative and finite")
+
+    def phi(w):
+        x = np.exp(w)
+        return (power + 1) * w - rate * x - shift_power * np.log(x + shift) - inv_rate / x
+
+    name = (f"tail integral (p={power:g}, rate={rate:g}, inv_rate={inv_rate:g}, "
+            f"shift={shift:g}, shift_power={shift_power:g})")
+    return float(_scan_rule(phi, np.linspace(-60.0, 45.0, 3361), 0.03125, name))
 
 
 # -- the relay kernel and the exact outage -----------------------------------
@@ -268,13 +280,11 @@ def _relay_cdf(k1: int, k3: int, theta, mean):
     return (np.exp(log_nb) * gammainc(k1 - j, mean)).sum(axis=0) + betainc(k1, k3, theta / (1.0 + theta))
 
 
-# Step of the scan that picks the window of both body rules, how far the
-# scan reaches beyond the data anchors (below the leftmost anchor, above
-# the rightmost one), and how often the exact outage may halve the scan
-# step while its check fails (floor 0.25 / 8 = 0.03125).
+# Step of the scan that picks the window of both body rules, and how far
+# the scan reaches beyond the data anchors (below the leftmost anchor,
+# above the rightmost one).
 _ORACLE_SCAN_STEP = 0.25
 _ORACLE_REACH = (50.0, 8.0)
-_EXACT_HALVINGS = 3
 
 
 def _a_axis(view: _User):
@@ -306,15 +316,8 @@ def _a_axis(view: _User):
 def _op_exact(view: _User | None) -> float:
     """Exact outage probability of one user view (1 for None): the head
     P(y <= c) plus the body, the integral over a = log(y - c) of the
-    ordered density times :func:`_relay_cdf`.
-
-    The body is a nested trapezoid rule built on :func:`_a_axis`'s scan:
-    its first level is the scan nodes of the window (widened by one node
-    when its interval count is odd), so no node is evaluated twice.
-    While the check against the rule on every other node fails, the step
-    is halved and only the new midpoints are evaluated, at most
-    ``_EXACT_HALVINGS`` times; a check that still fails then raises
-    :class:`NumericsError`, as does a window at an end of the scan."""
+    ordered density times :func:`_relay_cdf`, by :func:`_scan_rule` on
+    :func:`_a_axis`'s scan (floor step 0.25 / 8 = 0.03125)."""
     if view is None:
         return 1.0
     head = ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
@@ -326,35 +329,8 @@ def _op_exact(view: _User | None) -> float:
         r = np.exp(log_need)
         return log_w + np.log(_relay_cdf(k1, k3, r * theta_r, r * mean_r))
 
-    name = lambda i: "exact body in a = log(y - c)"
-    with np.errstate(divide="ignore"):
-        scan = phi(a_scan)
-        lo, hi = _window(a_scan, scan[None], name)
-        first, last = np.searchsorted(a_scan, (lo[0], hi[0]))
-        if (last - first) % 2:
-            # an even interval count: the rule on every other node keeps both ends
-            last += 1
-            if last == len(a_scan):
-                raise _uncontained(name(0), a_scan)
-        body = scan[first:last + 1]
-        top = body.max()
-        f = np.exp(body - top)
-        # the rule on every other node, then per level its new nodes: the
-        # odd nodes, then the midpoints of each halving
-        coarse_sum = 0.5 * (f[0] + f[-1]) + f[2:-1:2].sum()
-        fresh, h, n = f[1::2], _ORACLE_SCAN_STEP, last - first
-        for level in range(_EXACT_HALVINGS + 1):
-            fine_sum = coarse_sum + fresh.sum()
-            try:
-                _check_halving(h * fine_sum, 2.0 * h * coarse_sum, name)
-                break
-            except NumericsError:
-                if level == _EXACT_HALVINGS:
-                    raise
-            coarse_sum, h = fine_sum, h / 2
-            fresh = np.exp(phi(lo[0] + h * np.arange(1, 2 * n, 2)) - top)
-            n *= 2
-    return float(min(head + math.exp(top) * h * fine_sum, 1.0))
+    body = _scan_rule(phi, a_scan, _ORACLE_SCAN_STEP, "exact body in a = log(y - c)")
+    return float(min(head + body, 1.0))
 
 
 def op_exact(cfg: SystemConfig, user: int) -> float:
@@ -435,10 +411,12 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
     with np.errstate(divide="ignore"):
         scan = phi(rows(a_scan), cols(b_scan))
     top = scan.max()
-    lo_a, hi_a = _window(a_scan, scan.max(axis=1)[None], lambda i: "oracle integrand in a = log(y - c)")
-    ha, wa = _trapezoid(lo_a, hi_a, _ORACLE_STEP, 2)
-    lo_b, hi_b = _window(b_scan, scan.max(axis=0)[None], lambda i: "oracle integrand in b = log z")
-    hb, wb = _trapezoid(lo_b, hi_b, _ORACLE_STEP, 2)
+    first, last = _window(a_scan, scan.max(axis=1), "oracle integrand in a = log(y - c)")
+    lo_a, hi_a = a_scan[first], a_scan[last]
+    first, last = _window(b_scan, scan.max(axis=0), "oracle integrand in b = log z")
+    lo_b, hi_b = b_scan[first], b_scan[last]
+    ha, wa = _trapezoid(lo_a, hi_a, _ORACLE_STEP)
+    hb, wb = _trapezoid(lo_b, hi_b, _ORACLE_STEP)
     a, b = lo_a + ha * np.arange(len(wa)), lo_b + hb * np.arange(len(wb))
     # The rule on every other node, then per level its new nodes: the odd
     # rows, and the even rows at the odd columns.  The even nodes of a
@@ -448,7 +426,7 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
         fine_sum = (coarse_sum + grid_sum(a[1::2], wa[1::2], b, wb)
                     + grid_sum(a[::2], wa[::2], b[1::2], wb[1::2]))
         try:
-            _check_halving(ha * hb * fine_sum, 4.0 * ha * hb * coarse_sum, lambda i: "oracle body")
+            _check_halving(ha * hb * fine_sum, 4.0 * ha * hb * coarse_sum, "oracle body")
             break
         except NumericsError:
             if level == _ORACLE_HALVINGS:
@@ -456,7 +434,7 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
         coarse_sum, ha, hb = fine_sum, ha / 2, hb / 2
         wa, wb = (np.r_[0.5, np.ones(2 * len(w) - 3), 0.5] for w in (wa, wb))
         a, b = lo_a + ha * np.arange(len(wa)), lo_b + hb * np.arange(len(wb))
-    return float(min(head + math.exp(top) * ha[0] * hb[0] * fine_sum, 1.0))
+    return float(min(head + math.exp(top) * ha * hb * fine_sum, 1.0))
 
 
 # -- closed-form lower bound ------------------------------------------------
@@ -560,8 +538,8 @@ def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:
         )
 
     lam = view.D  # SNR-free demand level
-    hop2_amp = 1.0 + cfg.kappa_sr ** 2
-    hop1_amp = 1.0 + cfg.kappa_ru ** 2
+    hop2_amp = 1.0 / view.t4  # 1 + kappa_sr**2
+    hop1_amp = view.t3 * view.t4  # 1 + kappa_ru**2
 
     do1 = (1.0 - cfg.li_quality_mu) * k1
     do2 = k2 * l

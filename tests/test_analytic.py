@@ -19,7 +19,7 @@ from fdnoma import (
     tail_weight_integral,
 )
 from fdnoma import analytic
-from fdnoma.analytic import _log_tail_weights, _relay_cdf
+from fdnoma.analytic import _relay_cdf
 from fdnoma.config import ConfigError
 
 
@@ -122,38 +122,43 @@ class TestTailIntegral:
 
     def test_matches_quad_reference(self, rng):
         rows = tail_grid(rng, 400)
-        got = _log_tail_weights(*rows)
+        got = np.array([math.log(tail_weight_integral(*r)) for r in zip(*rows)])
         want = np.array([quad_tail_integral(*r) for r in zip(*rows)])
         assert np.abs(np.expm1(got - want)).max() <= 1e-11
 
-    def test_batch_equals_single_rows(self, rng):
-        # a batch shares one node count, set by its widest window; each
-        # row then differs from its own one-row rule only by rounding in
-        # phi, whose terms reach ~1e3 near the peak (1e3 * eps ~ 2e-13)
-        rows = tail_grid(rng, 200)
-        batch = _log_tail_weights(*rows)
-        single = np.array([math.log(tail_weight_integral(*r)) for r in zip(*rows)])
-        assert np.abs(np.expm1(batch - single)).max() <= 5e-13
+    def test_narrow_bump_is_refined(self, monkeypatch):
+        # phi'' = -2*sqrt(rate*inv_rate) ~ -630 at the peak: a bump ~0.04
+        # wide, which the scan step 1/32 resolves only once halved
+        case = (3, 1.0, 1e5, 2.0, 2)
+        got = tail_weight_integral(*case)
+        assert math.log(got) == pytest.approx(quad_tail_integral(*case), rel=0, abs=1e-9)
+        monkeypatch.setattr(analytic, "_HALVINGS", 0)
+        with pytest.raises(NumericsError, match="step-halving"):
+            tail_weight_integral(*case)
 
     def test_bump_outside_scan_raises(self):
         with pytest.raises(NumericsError, match="scan"):
             tail_weight_integral(1, 1e-25, 0.1, 1.0, 1)  # peak near x = 1e25
         with pytest.raises(NumericsError, match="scan"):
             tail_weight_integral(0, 0.5, 0.0, 1e-12, 3)  # slow falloff below x = 1e-12
-        rows = tail_grid(np.random.default_rng(1), 20)
-        rows[1][7] = 1e-25  # one bad row fails the whole batch
-        with pytest.raises(NumericsError, match="rate=1e-25"):
-            _log_tail_weights(*rows)
 
     def test_unresolved_bump_raises(self):
         # phi'' = -2*sqrt(rate*inv_rate) at the peak: a bump ~7e-4 wide,
-        # below the ~2e-3 step of the narrowest window (2 scan steps / 128)
+        # below the finest step 1/256 (the scan step 1/32 halved 3 times)
         with pytest.raises(NumericsError, match="step-halving"):
             tail_weight_integral(0, 1e6, 1e6, 1.0, 1)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             tail_weight_integral(1, 0.0, 0.1, 1.0, 1)
+
+    @pytest.mark.parametrize("arg", ["rate", "inv_rate", "shift"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, arg, value):
+        args = dict(power=1, rate=0.5, inv_rate=0.1, shift=1.0, shift_power=1)
+        args[arg] = value
+        with pytest.raises(ValueError, match="finite"):
+            tail_weight_integral(**args)
 
 
 class TestRelayKernel:
@@ -226,9 +231,14 @@ class TestExactVsOracle:
     def test_odd_window_widened_past_the_scan_raises(self, monkeypatch):
         # a window of three intervals ending at the last scan node cannot
         # gain the fourth its halving check needs
-        monkeypatch.setattr(analytic, "_window", lambda scan, phi, name: (scan[-4:-3], scan[-1:]))
+        monkeypatch.setattr(analytic, "_window", lambda scan, phi, name: (len(scan) - 4, len(scan) - 1))
         with pytest.raises(NumericsError, match="not contained"):
             op_exact(default_config(li_quality_mu=0.2, snr_db=30.0), 1)
+
+    def test_nan_integrand_is_not_contained(self):
+        # a NaN profile has no peak, so no window: a NumericsError, not an IndexError
+        with pytest.raises(NumericsError, match="probe not contained"):
+            analytic._window(np.arange(5.0), np.full(5, np.nan), "probe")
 
     def test_reference_point(self):
         # moderate-decay loop interference, single antennas, 30 dB
@@ -312,10 +322,10 @@ class TestExactVsOracle:
     def test_exact_unresolved_or_unscanned_body_raises(self, monkeypatch):
         cfg = default_config(li_quality_mu=0.2, snr_db=30.0)
         # the scan's own step, never refined, cannot resolve the bump to 1e-12
-        monkeypatch.setattr(analytic, "_EXACT_HALVINGS", 0)
+        monkeypatch.setattr(analytic, "_HALVINGS", 0)
         with pytest.raises(NumericsError, match="step-halving"):
             op_exact(cfg, 1)
-        monkeypatch.setattr(analytic, "_EXACT_HALVINGS", 3)
+        monkeypatch.setattr(analytic, "_HALVINGS", 3)
         monkeypatch.setattr(analytic, "_ORACLE_REACH", (5.0, 1.0))
         with pytest.raises(NumericsError, match="scan"):
             op_exact(cfg, 1)

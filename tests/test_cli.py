@@ -278,7 +278,7 @@ def test_main_rejects_bad_inputs(cfg_file, tmp_path, capsys):
 def test_main_numeric_failure_exit_code(cfg_file, tmp_path, capsys, monkeypatch):
     # a rule on the scan's own step, never refined, cannot pass its 1e-12
     # halving check: surfaced as a numeric failure, not a silent wrong answer
-    monkeypatch.setattr(analytic, "_EXACT_HALVINGS", 0)
+    monkeypatch.setattr(analytic, "_HALVINGS", 0)
     out = tmp_path / "deep.csv"
     rc = main([
         "--config", str(cfg_file),
@@ -511,7 +511,7 @@ def test_numeric_failure_spends_no_monte_carlo_time(tmp_path, capsys, monkeypatc
     # ever calling the Monte Carlo engine
     import fdnoma.cli as cli_mod
 
-    monkeypatch.setattr(analytic, "_EXACT_HALVINGS", 0)
+    monkeypatch.setattr(analytic, "_HALVINGS", 0)
     calls = []
     monkeypatch.setattr(cli_mod, "_estimate", lambda *a, **k: calls.append(a) or [])
     cfg = default_config(tx_antennas=3, rx_antennas=2, m_sr=2)
