@@ -14,10 +14,22 @@ default :func:`~fdnoma.sidnr.outage_mask`, one comparison per user).  One
 call serves a whole sweep (every grid point and method) from one stream:
 each block's unit Gamma draws are made once and scaled to every job,
 which gives each job the counts of a separate run, bit for bit.
+
+Draws are also reused across calls on the same stream, the key
+``(shapes, include_li, seed)`` of the jobs' Gamma shapes, whether they
+draw loop interference, and the seed: a block is a pure function of its
+stream and ``(index, size)``, so a later call with the same key reads
+the unit draws an earlier one made (common random numbers across calls;
+Asmussen & Glynn, *Stochastic Simulation*, 2007, ch. V).  Only blocks 0
+and 1 (``CACHED_BLOCKS``) of the latest stream are kept, the set in
+flight at two partitions, and a call on another stream drops them before
+it draws, so the cache never holds more than one call's peak.
+``_block_units.cache_clear()`` empties it.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -32,6 +44,7 @@ __all__ = ["BLOCK_TRIALS", "Job", "OutageEstimate", "estimate", "estimate_all_us
 
 BLOCK_TRIALS = 1 << 18  # trials per substream block; fixed by contract
 CHUNK_ROWS = 1 << 15  # rows scaled and masked at a time; results do not depend on it
+CACHED_BLOCKS = 2  # leading blocks of the latest stream kept across calls
 
 
 @dataclass(frozen=True)
@@ -52,10 +65,50 @@ class OutageEstimate:
     partitions: int | None = None
 
 
+_units_lock = threading.Lock()
+_units_held: dict = {}  # {stream: {(index, size): units}}, one stream at most
+
+
+def _block_units(shapes, include_li: bool, seed, index: int, size: int):
+    """Unit draws of block ``(index, size)`` of the stream ``(shapes,
+    include_li, seed)``: read from the cache when held, else drawn from
+    ``seeded_stream(seed, index)``.  A new stream drops the held one
+    before anything is drawn; blocks below ``CACHED_BLOCKS`` are kept,
+    read-only, as long as their stream is the latest."""
+    stream = (shapes, include_li, seed)
+    with _units_lock:
+        if stream not in _units_held:
+            _units_held.clear()
+            _units_held[stream] = {}
+        units = _units_held[stream].get((index, size))
+    if units is None:
+        units = draw_units(shapes, seeded_stream(seed, index), size, include_li)
+        if index < CACHED_BLOCKS:
+            for u in units:
+                if u is not None:
+                    u.flags.writeable = False
+            with _units_lock:  # another stream may have taken over meanwhile
+                if stream in _units_held:
+                    _units_held[stream][(index, size)] = units
+    return units
+
+
+def _units_clear():
+    with _units_lock:
+        _units_held.clear()
+
+
+# bench/workloads.clear_caches calls every module-level cache_clear it finds
+_block_units.cache_clear = _units_clear
+
+
 def _run_blocks(kernel, trials: int, partitions: int) -> np.ndarray:
-    """Sum integer outage counts over all blocks, on ``partitions`` threads."""
+    """Sum integer outage counts over all blocks, on ``partitions`` threads
+    (inline when there is one thread or one block)."""
     full, rest = divmod(trials, BLOCK_TRIALS)
-    blocks = enumerate([BLOCK_TRIALS] * full + ([rest] if rest else []))
+    blocks = list(enumerate([BLOCK_TRIALS] * full + ([rest] if rest else [])))
+    if partitions == 1 or len(blocks) == 1:
+        return sum(map(kernel, blocks))
     with ThreadPoolExecutor(max_workers=min(partitions, 16)) as pool:
         return sum(pool.map(kernel, blocks))
 
@@ -87,7 +140,8 @@ class Job:
 
 def _estimate(jobs: list[Job], trials, seed, partitions) -> list[list[OutageEstimate]]:
     """Per-job lists of per-user estimates: block ``b`` is drawn once, from
-    ``seeded_stream(seed, b)``, and scaled to each job's constants."""
+    ``seeded_stream(seed, b)`` (or read from the unit cache), and scaled
+    to each job's constants."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if partitions < 1:
@@ -102,7 +156,7 @@ def _estimate(jobs: list[Job], trials, seed, partitions) -> list[list[OutageEsti
 
     def kernel(block):
         index, size = block
-        units = draw_units(shapes, seeded_stream(seed, index), size, include_li)
+        units = _block_units(shapes, include_li, seed, index, size)
         counts = [np.zeros(len(job.users), dtype=np.int64) for job in jobs]
         for lo in range(0, size, CHUNK_ROWS):  # row chunks bound the scaled copies
             unit_sr, units_ru, unit_li = (u if u is None else u[lo:lo + CHUNK_ROWS] for u in units)

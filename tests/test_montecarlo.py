@@ -1,36 +1,166 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fdnoma import default_config, derive_constants, estimate, estimate_all_users, op_exact
+from fdnoma import default_config, derive_constants, estimate, estimate_all_users, montecarlo, op_exact
 from fdnoma.baselines import BaselineConfig, hd_job, oma_job
-from fdnoma.montecarlo import BLOCK_TRIALS, Job, _estimate
+from fdnoma.montecarlo import BLOCK_TRIALS, CACHED_BLOCKS, Job, _block_units, _estimate
 
+
+def _held():
+    """The unit cache's contents: {stream: sorted block keys}."""
+    with montecarlo._units_lock:
+        return {stream: sorted(blocks) for stream, blocks in montecarlo._units_held.items()}
+
+
+# Each determinism test makes its calls cold (the unit cache emptied, so
+# the blocks are drawn from the stream) and then warm (read from the
+# cache), and requires the same values from both.
 
 def test_determinism_across_partition_counts(ideal_cfg):
-    ests = [
-        estimate_all_users(ideal_cfg, trials=600_000, seed=9, partitions=p)
-        for p in (1, 4, 16)
-    ]
-    for other in ests[1:]:
-        for a, b in zip(ests[0], other):
+    cold, warm = [], []
+    for p in (1, 4, 16):
+        _block_units.cache_clear()
+        cold.append(estimate_all_users(ideal_cfg, trials=600_000, seed=9, partitions=p))
+        assert any(_held().values())
+        warm.append(estimate_all_users(ideal_cfg, trials=600_000, seed=9, partitions=p))
+    for other in cold[1:] + warm:
+        for a, b in zip(cold[0], other):
             assert a.op_value == b.op_value
             assert a.std_error == b.std_error
 
 
 def test_repeated_run_identical(ideal_cfg):
     a = estimate(ideal_cfg, 2, trials=100_000, seed=3)
+    _block_units.cache_clear()
     b = estimate(ideal_cfg, 2, trials=100_000, seed=3)
-    assert a.op_value == b.op_value
+    assert any(_held().values())
+    c = estimate(ideal_cfg, 2, trials=100_000, seed=3)
+    assert a.op_value == b.op_value == c.op_value
 
 
 def test_single_user_matches_all_users_run(ideal_cfg):
     # same stream layout: identical realizations, not merely 3-sigma close
     alls = estimate_all_users(ideal_cfg, trials=200_000, seed=4)
     for u in (1, 2, 3):
+        _block_units.cache_clear()
         single = estimate(ideal_cfg, u, trials=200_000, seed=4)
-        assert single.op_value == alls[u - 1].op_value
+        assert any(_held().values())
+        warm = estimate(ideal_cfg, u, trials=200_000, seed=4)
+        assert single.op_value == warm.op_value == alls[u - 1].op_value
+
+
+def _counts(jobs, trials, seed, partitions=2):
+    return [[e.op_value for e in ests] for ests in _estimate(jobs, trials, seed, partitions)]
+
+
+def test_interleaved_streams_match_cold_runs(ideal_cfg):
+    # B, C and D each differ from A in one part of the stream key (seed,
+    # loop-interference draw, fading shapes): none may read A's blocks,
+    # nor A theirs.  C before A catches a key without include_li, as A's
+    # kernel would find no loop-interference draws.
+    cfg = replace(ideal_cfg, tx_antennas=2)
+    mc = Job(derive_constants(cfg), None, "mc")
+    runs = {
+        "A": ([mc], 5),
+        "B": ([mc], 6),
+        "C": ([hd_job(BaselineConfig(base=cfg, mode="hd_noma"))], 5),
+        "D": ([Job(derive_constants(replace(cfg, m_sr=2)), None, "mc")], 5),
+    }
+    trials = BLOCK_TRIALS + 20_000
+    cold = {}
+    for name, (jobs, seed) in runs.items():
+        _block_units.cache_clear()
+        cold[name] = _counts(jobs, trials, seed)
+    assert len({str(c) for c in cold.values()}) == len(runs)
+    for name in "CABACADA":
+        jobs, seed = runs[name]
+        assert _counts(jobs, trials, seed) == cold[name], name
+
+
+def test_cache_keeps_only_the_leading_blocks():
+    cfg = default_config(num_users=2, power_coeffs=(0.7, 0.3), thresholds=(0.9, 1.5))
+    estimate_all_users(cfg, trials=9 * BLOCK_TRIALS + 1, seed=11, partitions=2)
+    (blocks,) = _held().values()
+    assert CACHED_BLOCKS == 2
+    assert blocks == [(0, BLOCK_TRIALS), (1, BLOCK_TRIALS)]
+
+
+def test_new_stream_dropped_before_drawing(ideal_cfg, monkeypatch):
+    # when a block is drawn, the cache holds its stream alone, and none of
+    # the old stream's blocks
+    seen = []
+    real = montecarlo.draw_units
+
+    def recording(shapes, rng, size, include_li):
+        seen.append(_held())
+        return real(shapes, rng, size, include_li)
+
+    monkeypatch.setattr(montecarlo, "draw_units", recording)
+    trials = BLOCK_TRIALS + 1000
+    estimate_all_users(ideal_cfg, trials, seed=1, partitions=1)
+    assert len(seen) == 2
+    (stream_a,) = _held()
+    estimate_all_users(ideal_cfg, trials, seed=1, partitions=1)
+    assert len(seen) == 2  # both blocks read from the cache
+    seen.clear()
+    estimate_all_users(ideal_cfg, trials, seed=2, partitions=1)
+    assert len(seen) == 2
+    (stream_b,) = _held()
+    assert stream_b != stream_a
+    assert seen == [{stream_b: []}, {stream_b: [(0, BLOCK_TRIALS)]}]
+
+
+def test_concurrent_streams_match_sequential_runs(ideal_cfg):
+    # more threads than cores, each on its own seed, with a short switch
+    # interval: every result must equal its sequential run
+    trials, seeds = BLOCK_TRIALS + 20_000, range(1, 7)
+    sequential = {}
+    for seed in seeds:
+        _block_units.cache_clear()
+        sequential[seed] = [e.op_value for e in estimate_all_users(ideal_cfg, trials, seed, 2)]
+    results, errors = {}, []
+
+    def run(seed):
+        try:
+            results[seed] = [e.op_value for e in estimate_all_users(ideal_cfg, trials, seed, 2)]
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == sequential
+    assert len(_held()) <= 1
+
+
+def test_cache_walk_empties_unit_cache(ideal_cfg, clear_fdnoma_caches):
+    # the benchmark starts each pass cold with this walk over fdnoma's modules
+    estimate(ideal_cfg, 1, trials=10_000, seed=3)
+    assert any(_held().values())
+    clear_fdnoma_caches()
+    assert _held() == {}
+
+
+def test_one_thread_or_one_block_runs_inline(ideal_cfg, monkeypatch):
+    expected = [e.op_value for e in estimate_all_users(ideal_cfg, BLOCK_TRIALS + 1000, seed=7, partitions=2)]
+    single = [e.op_value for e in estimate_all_users(ideal_cfg, 1000, seed=7, partitions=2)]
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", None)  # any pool would raise
+    _block_units.cache_clear()
+    assert [e.op_value for e in estimate_all_users(ideal_cfg, BLOCK_TRIALS + 1000, seed=7, partitions=1)] == expected
+    assert [e.op_value for e in estimate_all_users(ideal_cfg, 1000, seed=7, partitions=4)] == single
 
 
 def test_trials_and_users_validation(ideal_cfg):
