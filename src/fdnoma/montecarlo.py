@@ -15,16 +15,20 @@ call serves a whole sweep (every grid point and method) from one stream:
 each block's unit Gamma draws are made once and scaled to every job,
 which gives each job the counts of a separate run, bit for bit.
 
-Draws are also reused across calls on the same stream, the key
-``(shapes, include_li, seed)`` of the jobs' Gamma shapes, whether they
-draw loop interference, and the seed: a block is a pure function of its
-stream and ``(index, size)``, so a later call with the same key reads
-the unit draws an earlier one made (common random numbers across calls;
-Asmussen & Glynn, *Stochastic Simulation*, 2007, ch. V).  Only blocks 0
-and 1 (``CACHED_BLOCKS``) of the latest stream are kept, the set in
-flight at two partitions, and a call on another stream drops them before
-it draws, so the cache never holds more than one call's peak.
-``_block_units.cache_clear()`` empties it.
+A call of at most ``CACHED_BLOCKS`` blocks (``2 * BLOCK_TRIALS``
+trials) also keeps its unit draws, read-only, for the next call with the
+same key ``(shapes, include_li, seed, trials)``: the jobs' Gamma shapes,
+whether they draw loop interference, the seed and the trial count fix
+every block, so that call reads the draws instead of making them again
+(common random numbers across calls; Asmussen & Glynn, *Stochastic
+Simulation*, 2007, ch. V).  A call with another key, or with more
+blocks, drops the kept draws before it draws.  So the cache holds one
+call's blocks at most; a call of more blocks holds what it held without
+the cache, and a two-block call at one partition ends holding both
+blocks where it held one.  Only repeated calls on one key gain, as a
+loop of estimates at one seed and trial count over configs of the same
+fading shapes makes; one CLI run is one call.
+``_block_units.cache_clear()`` empties the cache.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ __all__ = ["BLOCK_TRIALS", "Job", "OutageEstimate", "estimate", "estimate_all_us
 
 BLOCK_TRIALS = 1 << 18  # trials per substream block; fixed by contract
 CHUNK_ROWS = 1 << 15  # rows scaled and masked at a time; results do not depend on it
-CACHED_BLOCKS = 2  # leading blocks of the latest stream kept across calls
+CACHED_BLOCKS = 2  # a call of at most this many blocks keeps them for the next call
 
 
 @dataclass(frozen=True)
@@ -66,30 +70,32 @@ class OutageEstimate:
 
 
 _units_lock = threading.Lock()
-_units_held: dict = {}  # {stream: {(index, size): units}}, one stream at most
+_units_held: dict = {}  # {(shapes, include_li, seed, trials): {index: units}}, one key at most
 
 
-def _block_units(shapes, include_li: bool, seed, index: int, size: int):
-    """Unit draws of block ``(index, size)`` of the stream ``(shapes,
-    include_li, seed)``: read from the cache when held, else drawn from
-    ``seeded_stream(seed, index)``.  A new stream drops the held one
-    before anything is drawn; blocks below ``CACHED_BLOCKS`` are kept,
-    read-only, as long as their stream is the latest."""
-    stream = (shapes, include_li, seed)
+def _block_units(shapes, include_li: bool, seed, trials: int, index: int, size: int):
+    """Unit draws of block ``(index, size)`` of a ``trials``-trial call on
+    ``seeded_stream(seed, index)``: read from the cache when held, else
+    drawn.  A call of another key drops the held draws before anything
+    is drawn; a call of at most ``CACHED_BLOCKS`` blocks keeps its
+    draws, read-only, until then."""
+    key = (shapes, include_li, seed, trials)
+    keep = trials <= CACHED_BLOCKS * BLOCK_TRIALS
     with _units_lock:
-        if stream not in _units_held:
+        if key not in _units_held:
             _units_held.clear()
-            _units_held[stream] = {}
-        units = _units_held[stream].get((index, size))
+            if keep:
+                _units_held[key] = {}
+        units = _units_held.get(key, {}).get(index)
     if units is None:
         units = draw_units(shapes, seeded_stream(seed, index), size, include_li)
-        if index < CACHED_BLOCKS:
+        if keep:
             for u in units:
                 if u is not None:
                     u.flags.writeable = False
-            with _units_lock:  # another stream may have taken over meanwhile
-                if stream in _units_held:
-                    _units_held[stream][(index, size)] = units
+            with _units_lock:  # another key may have taken over meanwhile
+                if key in _units_held:
+                    _units_held[key][index] = units
     return units
 
 
@@ -156,7 +162,7 @@ def _estimate(jobs: list[Job], trials, seed, partitions) -> list[list[OutageEsti
 
     def kernel(block):
         index, size = block
-        units = _block_units(shapes, include_li, seed, index, size)
+        units = _block_units(shapes, include_li, seed, trials, index, size)
         counts = [np.zeros(len(job.users), dtype=np.int64) for job in jobs]
         for lo in range(0, size, CHUNK_ROWS):  # row chunks bound the scaled copies
             unit_sr, units_ru, unit_li = (u if u is None else u[lo:lo + CHUNK_ROWS] for u in units)

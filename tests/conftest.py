@@ -7,24 +7,18 @@ import pytest
 from fdnoma import default_config
 
 
-def _clear_fdnoma_caches():
-    """Call every module-level ``cache_clear`` in fdnoma, the walk the
-    benchmark makes before each pass."""
+@pytest.fixture(autouse=True)
+def clear_fdnoma_caches():
+    """Each test starts with fdnoma's memo caches empty (the Monte Carlo
+    unit draws among them), so test order cannot change which path runs.
+    This is the walk bench/workloads.clear_caches makes before each pass;
+    CI checks that one on the benchmark itself."""
     for name, mod in list(sys.modules.items()):
         if name != "fdnoma" and not name.startswith("fdnoma."):
             continue
         for obj in vars(mod).values():
             if callable(getattr(obj, "cache_clear", None)):
                 obj.cache_clear()
-
-
-@pytest.fixture(autouse=True)
-def clear_fdnoma_caches():
-    """Each test starts with fdnoma's memo caches empty (the Monte Carlo
-    unit draws among them), so test order cannot change which path runs;
-    a test that requests the fixture gets the walk to call again."""
-    _clear_fdnoma_caches()
-    return _clear_fdnoma_caches
 
 
 @pytest.fixture

@@ -11,26 +11,28 @@ from fdnoma.montecarlo import BLOCK_TRIALS, CACHED_BLOCKS, Job, _block_units, _e
 
 
 def _held():
-    """The unit cache's contents: {stream: sorted block keys}."""
+    """The unit cache's contents: {key: sorted block indices}."""
     with montecarlo._units_lock:
-        return {stream: sorted(blocks) for stream, blocks in montecarlo._units_held.items()}
+        return {key: sorted(blocks) for key, blocks in montecarlo._units_held.items()}
 
 
 # Each determinism test makes its calls cold (the unit cache emptied, so
-# the blocks are drawn from the stream) and then warm (read from the
-# cache), and requires the same values from both.
+# the blocks are drawn from the stream) and, where the call keeps its
+# draws, warm (read from the cache), and requires the same values.
 
 def test_determinism_across_partition_counts(ideal_cfg):
-    cold, warm = [], []
-    for p in (1, 4, 16):
-        _block_units.cache_clear()
-        cold.append(estimate_all_users(ideal_cfg, trials=600_000, seed=9, partitions=p))
-        assert any(_held().values())
-        warm.append(estimate_all_users(ideal_cfg, trials=600_000, seed=9, partitions=p))
-    for other in cold[1:] + warm:
-        for a, b in zip(cold[0], other):
-            assert a.op_value == b.op_value
-            assert a.std_error == b.std_error
+    # 600,000 trials is three blocks, more than a call keeps; 500,000 is two
+    for trials, kept in ((600_000, False), (500_000, True)):
+        runs = []
+        for p in (1, 4, 16):
+            _block_units.cache_clear()
+            runs.append(estimate_all_users(ideal_cfg, trials=trials, seed=9, partitions=p))
+            assert bool(_held()) == kept
+            runs.append(estimate_all_users(ideal_cfg, trials=trials, seed=9, partitions=p))
+        for other in runs[1:]:
+            for a, b in zip(runs[0], other):
+                assert a.op_value == b.op_value
+                assert a.std_error == b.std_error
 
 
 def test_repeated_run_identical(ideal_cfg):
@@ -58,40 +60,65 @@ def _counts(jobs, trials, seed, partitions=2):
 
 
 def test_interleaved_streams_match_cold_runs(ideal_cfg):
-    # B, C and D each differ from A in one part of the stream key (seed,
-    # loop-interference draw, fading shapes): none may read A's blocks,
-    # nor A theirs.  C before A catches a key without include_li, as A's
-    # kernel would find no loop-interference draws.
+    # B, C, D and E each differ from A in one part of the cache key (seed,
+    # loop-interference draw, fading shapes, trials): none may read A's
+    # blocks, nor A theirs.  C before A catches a key without include_li,
+    # as A's kernel would find no loop-interference draws.
     cfg = replace(ideal_cfg, tx_antennas=2)
     mc = Job(derive_constants(cfg), None, "mc")
-    runs = {
-        "A": ([mc], 5),
-        "B": ([mc], 6),
-        "C": ([hd_job(BaselineConfig(base=cfg, mode="hd_noma"))], 5),
-        "D": ([Job(derive_constants(replace(cfg, m_sr=2)), None, "mc")], 5),
-    }
     trials = BLOCK_TRIALS + 20_000
+    runs = {
+        "A": ([mc], trials, 5),
+        "B": ([mc], trials, 6),
+        "C": ([hd_job(BaselineConfig(base=cfg, mode="hd_noma"))], trials, 5),
+        "D": ([Job(derive_constants(replace(cfg, m_sr=2)), None, "mc")], trials, 5),
+        "E": ([mc], trials + 1, 5),
+    }
     cold = {}
-    for name, (jobs, seed) in runs.items():
+    for name, run in runs.items():
         _block_units.cache_clear()
-        cold[name] = _counts(jobs, trials, seed)
+        cold[name] = _counts(*run)
     assert len({str(c) for c in cold.values()}) == len(runs)
-    for name in "CABACADA":
-        jobs, seed = runs[name]
-        assert _counts(jobs, trials, seed) == cold[name], name
+    for name in "CABACADAEA":
+        assert _counts(*runs[name]) == cold[name], name
 
 
-def test_cache_keeps_only_the_leading_blocks():
+def test_trial_sweep_keeps_one_call():
+    # a same-seed sweep over trial counts keeps only the latest call's blocks
     cfg = default_config(num_users=2, power_coeffs=(0.7, 0.3), thresholds=(0.9, 1.5))
-    estimate_all_users(cfg, trials=9 * BLOCK_TRIALS + 1, seed=11, partitions=2)
-    (blocks,) = _held().values()
     assert CACHED_BLOCKS == 2
-    assert blocks == [(0, BLOCK_TRIALS), (1, BLOCK_TRIALS)]
+    for trials in (1000, 5000, BLOCK_TRIALS, BLOCK_TRIALS + 1000, 2 * BLOCK_TRIALS, 7000):
+        warm = estimate_all_users(cfg, trials, seed=11, partitions=2)
+        ((key, blocks),) = _held().items()
+        assert key[-1] == trials
+        assert blocks == list(range(-(-trials // BLOCK_TRIALS)))
+        _block_units.cache_clear()
+        assert estimate_all_users(cfg, trials, seed=11, partitions=2) == warm
+
+
+def test_call_of_more_blocks_keeps_none(ideal_cfg, monkeypatch):
+    # a call of more than CACHED_BLOCKS blocks drops what an earlier call
+    # kept before its first draw, draws every block, and keeps none
+    trials = (CACHED_BLOCKS + 1) * BLOCK_TRIALS
+    cold = estimate_all_users(ideal_cfg, trials, seed=1, partitions=2)
+    estimate_all_users(ideal_cfg, 2 * BLOCK_TRIALS, seed=1, partitions=2)
+    assert _held()
+    seen = []
+    real = montecarlo.draw_units
+
+    def recording(shapes, rng, size, include_li):
+        seen.append(_held())
+        return real(shapes, rng, size, include_li)
+
+    monkeypatch.setattr(montecarlo, "draw_units", recording)
+    assert estimate_all_users(ideal_cfg, trials, seed=1, partitions=2) == cold
+    assert seen == [{}] * (CACHED_BLOCKS + 1)
+    assert _held() == {}
 
 
 def test_new_stream_dropped_before_drawing(ideal_cfg, monkeypatch):
-    # when a block is drawn, the cache holds its stream alone, and none of
-    # the old stream's blocks
+    # when a block is drawn, the cache holds its key alone, and none of
+    # the old key's blocks
     seen = []
     real = montecarlo.draw_units
 
@@ -103,15 +130,15 @@ def test_new_stream_dropped_before_drawing(ideal_cfg, monkeypatch):
     trials = BLOCK_TRIALS + 1000
     estimate_all_users(ideal_cfg, trials, seed=1, partitions=1)
     assert len(seen) == 2
-    (stream_a,) = _held()
+    (key_a,) = _held()
     estimate_all_users(ideal_cfg, trials, seed=1, partitions=1)
     assert len(seen) == 2  # both blocks read from the cache
     seen.clear()
     estimate_all_users(ideal_cfg, trials, seed=2, partitions=1)
     assert len(seen) == 2
-    (stream_b,) = _held()
-    assert stream_b != stream_a
-    assert seen == [{stream_b: []}, {stream_b: [(0, BLOCK_TRIALS)]}]
+    (key_b,) = _held()
+    assert key_b != key_a
+    assert seen == [{key_b: []}, {key_b: [0]}]
 
 
 def test_concurrent_streams_match_sequential_runs(ideal_cfg):
@@ -144,14 +171,6 @@ def test_concurrent_streams_match_sequential_runs(ideal_cfg):
     assert errors == []
     assert results == sequential
     assert len(_held()) <= 1
-
-
-def test_cache_walk_empties_unit_cache(ideal_cfg, clear_fdnoma_caches):
-    # the benchmark starts each pass cold with this walk over fdnoma's modules
-    estimate(ideal_cfg, 1, trials=10_000, seed=3)
-    assert any(_held().values())
-    clear_fdnoma_caches()
-    assert _held() == {}
 
 
 def test_one_thread_or_one_block_runs_inline(ideal_cfg, monkeypatch):
