@@ -37,9 +37,13 @@ All four read one private view of user l's problem (:class:`_User`, from
 :func:`~fdnoma.config.gamma_laws` (MRT first hop, one ordered MRC user
 gain, loop interference), the user's SIDNR constants, written free of
 the SNR except for the noise terms and the loop-interference scale, and
-the outage floor ``c`` of the ordered gain.  An infeasible user has no
-view (its outage is 1); the closed forms need i.i.d. user gains, so
-unequal user statistics raise :class:`~fdnoma.config.ConfigError`.
+the outage floor ``c`` of the ordered gain, and the four settings the
+asymptote reads.  A view is the whole problem: each public route derives
+once and calls its private route on the view (``_op_exact``,
+``_op_lower_bound``, ``_op_asymptotic``), as the CLI does on the views of
+one derivation per grid point.  An infeasible user has no view (its
+outage is 1); the closed forms need i.i.d. user gains, so unequal user
+statistics raise :class:`~fdnoma.config.ConfigError`.
 
 Every quadrature uses one halving-checked log-axis trapezoid rule: a
 window on a scan (:func:`_window`) and a check against the rule on every
@@ -87,7 +91,9 @@ class _User(NamedTuple):
     noise over the SNR) and ``D``, the SNR times the peak demand (its
     threshold over its margin).  Given y and z the outage needs
     g1 / s1 < (y + t2) * t3 * D * (t4*z + t5) / (s1 * (y - c)) above the
-    floor c; the SNR enters only through ``t2``, ``t5`` and ``s3``."""
+    floor c; the SNR enters only through ``t2``, ``t5`` and ``s3``.  The
+    asymptote also reads the config's ``li_quality_mu``, ``li_scale_lambda``
+    and ``sigma_e_*_sq`` as ``mu``, ``lam_li``, ``e_sr`` and ``e_ru``."""
 
     l: int
     L: int
@@ -102,6 +108,10 @@ class _User(NamedTuple):
     t4: float
     t5: float
     D: float
+    mu: float
+    lam_li: float
+    e_sr: float
+    e_ru: float
 
     @property
     def c(self) -> float:
@@ -122,6 +132,7 @@ def _user_view(dc: DerivedConstants, user: int) -> _User | None:
     return _User(
         user, L, k1, k2[0], k3, s1, s2[0], s3, float(dc.noise_ru[user - 1]) / g,
         dc.rhi_amp, dc.sr_derate, dc.noise_sr / g, float(dc.demand_peak[user - 1]) * g,
+        dc.cfg.li_quality_mu, dc.cfg.li_scale_lambda, dc.cfg.sigma_e_sr_sq, dc.cfg.sigma_e_ru_sq,
     )
 
 
@@ -299,17 +310,16 @@ def _a_axis(view: _User):
     loop-interference scale z = s3 falls to s1 and the first-hop CDF
     leaves 1.
     """
-    l, L, k1, k2, k3, s1, s2, s3, t2, t3, t4, t5, D = view
-    c = view.c
-    log_need0 = math.log(t3 * D / s1)
+    c, t2, s2 = view.c, view.t2, view.s2
+    log_need0 = math.log(view.t3 * view.D / view.s1)
 
     def rows(a):
         y = c + np.exp(a)
-        return a + ordered_logpdf(y, l, L, k2, s2), np.log(y + t2) + log_need0 - a
+        return a + ordered_logpdf(y, view.l, view.L, view.k2, s2), np.log(y + t2) + log_need0 - a
 
     left, right = _ORACLE_REACH
     log_s2 = math.log(s2)
-    a_turn = math.log((c + t2) * (t5 + t4 * s3)) + log_need0
+    a_turn = math.log((c + t2) * (view.t5 + view.t4 * view.s3)) + log_need0
     return np.arange(min(a_turn, log_s2) - left, log_s2 + right, _ORACLE_SCAN_STEP), rows
 
 
@@ -448,6 +458,15 @@ def _relay_ratio_cdf(view: _User) -> float:
     return float(_relay_cdf(view.k1, view.k3, x_w * view.s3 / view.s1, x_w * v / view.s1))
 
 
+def _op_lower_bound(view: _User | None) -> float:
+    """The lower bound of :func:`op_lower_bound` on one user view (1 for None)."""
+    if view is None:
+        return 1.0
+    f_w = _relay_ratio_cdf(view)
+    f_2 = ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
+    return min(f_w + f_2 - f_w * f_2, 1.0)
+
+
 def op_lower_bound(cfg: SystemConfig, user: int) -> float:
     """Closed-form lower bound on the exact outage.
 
@@ -458,12 +477,7 @@ def op_lower_bound(cfg: SystemConfig, user: int) -> float:
     relative accuracy when both are small: F_W is :func:`_relay_ratio_cdf`
     and F_2 is the head of :func:`op_exact`.
     """
-    view = _user_view(derive_constants(cfg), user)
-    if view is None:
-        return 1.0
-    f_w = _relay_ratio_cdf(view)
-    f_2 = ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
-    return min(f_w + f_2 - f_w * f_2, 1.0)
+    return _op_lower_bound(_user_view(derive_constants(cfg), user))
 
 
 # -- asymptotics ------------------------------------------------------------
@@ -512,26 +526,18 @@ def _op_floor(view: _User) -> float:
     return _op_exact(view)
 
 
-def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:
-    """Diversity order, array gain and floor levels for ``user``.
-
-    Independent of ``cfg.snr_db``: use :meth:`AsymptoteReport.probability`
-    to evaluate the asymptotic curve at any SNR.
-    """
-    view = _user_view(derive_constants(cfg), user)
+def _op_asymptotic(view: _User | None, user: int) -> AsymptoteReport:
+    """:func:`op_asymptotic` on the view of ``user`` (None when infeasible)."""
     if view is None:
-        return AsymptoteReport(
-            user=user, regime="infeasible", diversity_order=0.0, array_gain=None,
-            floor_value=1.0,
-        )
+        return AsymptoteReport(user=user, regime="infeasible", diversity_order=0.0,
+                               array_gain=None, floor_value=1.0)
     l, k1, k2, k3 = view.l, view.k1, view.k2, view.k3
-    cee = cfg.sigma_e_sr_sq > 0.0 or cfg.sigma_e_ru_sq > 0.0
-    if cee or cfg.li_quality_mu == 1.0:
+    cee = view.e_sr > 0.0 or view.e_ru > 0.0
+    if cee or view.mu == 1.0:
         # The view at SNR -> inf: the noise terms keep only their
         # estimation-error parts, and the loop interference keeps its
         # scale at mu = 1 and vanishes below it.
-        limit = view._replace(t2=cfg.sigma_e_ru_sq, t5=cfg.sigma_e_sr_sq,
-                              s3=view.s3 if cfg.li_quality_mu == 1.0 else 0.0)
+        limit = view._replace(t2=view.e_ru, t5=view.e_sr, s3=view.s3 if view.mu == 1.0 else 0.0)
         return AsymptoteReport(
             user=l, regime="cee_floor" if cee else "li_floor", diversity_order=0.0,
             array_gain=None, floor_value=_op_floor(limit),
@@ -541,18 +547,17 @@ def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:
     hop2_amp = 1.0 / view.t4  # 1 + kappa_sr**2
     hop1_amp = view.t3 * view.t4  # 1 + kappa_ru**2
 
-    do1 = (1.0 - cfg.li_quality_mu) * k1
+    do1 = (1.0 - view.mu) * k1
     do2 = k2 * l
     # E[X**k1] of the SNR-free loop interference X ~ Gamma(k3, lambda / k3);
     # at mu = 0, X meets the relay noise at one order: E[(X + 1)**k1].
-    lam_li = cfg.li_scale_lambda
     log_d1 = (
         math.lgamma(k1 + k3) - math.lgamma(k1 + 1) - math.lgamma(k3)
-        + k1 * math.log(hop1_amp * lam * lam_li / (view.s1 * k3))
+        + k1 * math.log(hop1_amp * lam * view.lam_li / (view.s1 * k3))
     )
-    if cfg.li_quality_mu == 0.0:
+    if view.mu == 0.0:
         log_d1 += math.log(math.fsum(
-            math.comb(k1, i) * (k3 / lam_li) ** (k1 - i)
+            math.comb(k1, i) * (k3 / view.lam_li) ** (k1 - i)
             * math.exp(math.lgamma(k3 + i) - math.lgamma(k3 + k1))
             for i in range(k1 + 1)
         ))
@@ -567,7 +572,13 @@ def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:
         do, ag = do1, chi1
     else:
         do, ag = do2, chi2
-    return AsymptoteReport(
-        user=l, regime="ideal", diversity_order=do, array_gain=ag,
-        floor_value=None,
-    )
+    return AsymptoteReport(user=l, regime="ideal", diversity_order=do, array_gain=ag, floor_value=None)
+
+
+def op_asymptotic(cfg: SystemConfig, user: int) -> AsymptoteReport:
+    """Diversity order, array gain and floor levels for ``user``.
+
+    Independent of ``cfg.snr_db``: use :meth:`AsymptoteReport.probability`
+    to evaluate the asymptotic curve at any SNR.
+    """
+    return _op_asymptotic(_user_view(derive_constants(cfg), user), user)

@@ -73,9 +73,9 @@ def oma_threshold_rate_sum(fd_thresholds) -> float:
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """A comparison system derived from a full-duplex NOMA configuration;
-    its thresholds are the base config's ``hd_thresholds`` and
-    ``oma_threshold``."""
+    """The argument of :func:`hd_outage_all` and :func:`oma_outage_all`: a
+    comparison system derived from a full-duplex NOMA configuration, whose
+    thresholds are the base config's ``hd_thresholds`` and ``oma_threshold``."""
 
     base: SystemConfig
     mode: str  # "hd_noma" or "fd_oma"
@@ -85,22 +85,16 @@ class BaselineConfig:
             raise ConfigError(f"unknown baseline mode {self.mode!r}")
 
 
-def hd_job(bcfg: BaselineConfig, users=None) -> Job:
+def hd_job(base: SystemConfig, users=None) -> Job:
     """The half-duplex NOMA system as a Monte Carlo job: the base system
     at ``hd_thresholds`` (default: its own) with no loop interference."""
-    if bcfg.mode != "hd_noma":
-        raise ConfigError("hd_outage_all requires a hd_noma baseline config")
-    base = bcfg.base
     dc = derive_constants(replace(base, thresholds=base.hd_thresholds or base.thresholds))
     return Job(replace(dc, power_li=0.0), users, "hd")
 
 
-def oma_job(bcfg: BaselineConfig, users=None) -> Job:
+def oma_job(base: SystemConfig, users=None) -> Job:
     """The full-duplex OMA system as a Monte Carlo job; the threshold is
     ``oma_threshold``, by default the rate sum of the base thresholds."""
-    if bcfg.mode != "fd_oma":
-        raise ConfigError("oma_outage_all requires a fd_oma baseline config")
-    base = bcfg.base
     thr = base.oma_threshold or oma_threshold_rate_sum(base.thresholds)
     solo = [
         derive_constants(
@@ -120,9 +114,13 @@ def oma_job(bcfg: BaselineConfig, users=None) -> Job:
 
 def hd_outage_all(bcfg: BaselineConfig, trials, seed=0, partitions=1, users=None):
     """Half-duplex NOMA outage for several users from shared draws."""
-    return _estimate([hd_job(bcfg, users)], trials, seed, partitions)[0]
+    if bcfg.mode != "hd_noma":
+        raise ConfigError("hd_outage_all requires a hd_noma baseline config")
+    return _estimate([hd_job(bcfg.base, users)], trials, seed, partitions)[0]
 
 
 def oma_outage_all(bcfg: BaselineConfig, trials, seed=0, partitions=1, users=None):
     """Full-duplex OMA outage for several users from shared draws."""
-    return _estimate([oma_job(bcfg, users)], trials, seed, partitions)[0]
+    if bcfg.mode != "fd_oma":
+        raise ConfigError("oma_outage_all requires a fd_oma baseline config")
+    return _estimate([oma_job(bcfg.base, users)], trials, seed, partitions)[0]

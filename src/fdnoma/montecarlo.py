@@ -109,12 +109,9 @@ _block_units.cache_clear = _units_clear
 
 
 def _run_blocks(kernel, trials: int, partitions: int) -> np.ndarray:
-    """Sum integer outage counts over all blocks, on ``partitions`` threads
-    (inline when there is one thread or one block)."""
+    """Sum integer outage counts over all blocks, on ``partitions`` threads."""
     full, rest = divmod(trials, BLOCK_TRIALS)
     blocks = list(enumerate([BLOCK_TRIALS] * full + ([rest] if rest else [])))
-    if partitions == 1 or len(blocks) == 1:
-        return sum(map(kernel, blocks))
     with ThreadPoolExecutor(max_workers=min(partitions, 16)) as pool:
         return sum(pool.map(kernel, blocks))
 

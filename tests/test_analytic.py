@@ -563,6 +563,23 @@ class TestAsymptotics:
             assert r.regime == ("cee_floor" if sigma_sr or sigma_ru else "li_floor")
             assert r.floor_value == pytest.approx(op_exact(replace(cfg, snr_db=300.0), u), rel=1e-9, abs=0)
 
+    @pytest.mark.parametrize("m_sr", [1, 2])
+    @pytest.mark.parametrize("antennas", [(1, 1), (2, 2), (3, 2)], ids=["1x1", "2x2", "3x2"])
+    def test_ideal_asymptote_is_the_limit_of_exact(self, antennas, m_sr):
+        # every ideal-regime asymptote is the SNR -> inf limit of the exact
+        # outage: within 1e-3 relative at 300 dB, and no farther off there
+        # than at 200 dB (up to a 1e-13 rounding allowance)
+        for mu, kappa, u in itertools.product((0.0, 0.2, 0.5, 0.8), (0.0, 0.14), (1, 2, 3)):
+            cfg = default_config(tx_antennas=antennas[0], rx_antennas=antennas[1], m_sr=m_sr,
+                                 li_quality_mu=mu, kappa_sr=kappa, kappa_ru=kappa)
+            r = op_asymptotic(cfg, u)
+            assert r.regime == "ideal"
+            gap = {snr_db: abs(r.probability(10.0 ** (snr_db / 10)) / op_exact(replace(cfg, snr_db=snr_db), u) - 1)
+                   for snr_db in (200.0, 300.0)}
+            point = (mu, kappa, u, gap)
+            assert gap[300.0] <= 1e-3, point
+            assert gap[300.0] <= max(gap[200.0], 1e-13), point
+
     def test_slope_matches_diversity_order(self):
         cfg = lambda s: default_config(li_quality_mu=0.5, snr_db=s)
         r = op_asymptotic(cfg(15.0), 1)

@@ -34,12 +34,12 @@ def test_oma_rate_sum_threshold():
 
 def test_baseline_defaults_and_validation(ideal_cfg):
     # half duplex: the base thresholds and no loop interference
-    job = hd_job(BaselineConfig(base=ideal_cfg, mode="hd_noma"))
+    job = hd_job(ideal_cfg)
     assert job.dc.cfg.thresholds == ideal_cfg.thresholds
     assert job.dc.power_li == 0.0
     # orthogonal access: the rate-sum threshold, 13.25 for (0.9, 1.5, 2)
     default, explicit = (
-        oma_job(BaselineConfig(base=c, mode="fd_oma"))
+        oma_job(c)
         for c in (ideal_cfg, replace(ideal_cfg, oma_threshold=13.25))
     )
     a, b = _estimate([default, explicit], 50_000, 4, 1)
@@ -90,7 +90,7 @@ def test_hd_draws_loop_interference_only_next_to_a_full_duplex_job(monkeypatch):
     assert calls == [False, False]
     calls.clear()
     mc, mixed = _estimate(
-        [Job(derive_constants(cfg), None, "mc"), hd_job(BaselineConfig(base=cfg, mode="hd_noma"))],
+        [Job(derive_constants(cfg), None, "mc"), hd_job(cfg)],
         trials, 13, 2,
     )
     assert calls == [True, True]

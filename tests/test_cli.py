@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -297,7 +298,7 @@ def test_main_invariant_violation_exit_code(cfg_file, tmp_path, capsys, monkeypa
     # not clamped
     import fdnoma.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "op_lower_bound", lambda cfg, u: 1.0)
+    monkeypatch.setattr(cli_mod, "_op_lower_bound", lambda view: 1.0)
     out = tmp_path / "viol.csv"
     rc = main([
         "--config", str(cfg_file),
@@ -309,6 +310,31 @@ def test_main_invariant_violation_exit_code(cfg_file, tmp_path, capsys, monkeypa
     assert rc == 3
     assert "invariant violation" in capsys.readouterr().err
     assert not out.exists()  # a failed invariant publishes no CSV
+
+
+@pytest.mark.parametrize("excess, code", [(1e-8, 3), (1e-10, 0)])
+def test_bound_ordering_is_relative(cfg_file, tmp_path, capsys, monkeypatch, excess, code):
+    # at 65 dB user 1's exact outage is ~2e-10: a bound 1e-8 relative above
+    # it is a violation an absolute slack would hide; 1e-10 is rounding
+    import fdnoma.cli as cli_mod
+
+    exact = cli_mod._op_exact
+    monkeypatch.setattr(cli_mod, "_op_lower_bound", lambda view: exact(view) * (1 + excess))
+    out = tmp_path / "rel.csv"
+    rc = main([
+        "--config", str(cfg_file),
+        "--sweep", "snr_db=65:65:1",
+        "--methods", "exact,lb",
+        "--users", "1",
+        "--out", str(out),
+    ])
+    assert rc == code
+    if code:
+        assert "invariant violation" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        (row,) = _exact_cells(out)
+        assert 1e-10 < row["user1_exact"] < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -526,3 +552,43 @@ def test_numeric_failure_spends_no_monte_carlo_time(tmp_path, capsys, monkeypatc
     assert "numeric failure" in capsys.readouterr().err
     assert not out.exists()
     assert calls == []
+
+
+# sha256 of the CSV of each sweep: (config overrides, argv).  Recorded with
+# numpy 2.4.6 and scipy 1.17.1, the versions the CI pins; the Monte Carlo
+# streams and the CSV header depend on both, so other versions skip.
+PINNED_SWEEPS = {
+    "2x2-all-methods": (
+        dict(li_quality_mu=0.2, tx_antennas=2, rx_antennas=2),
+        ["--sweep", "snr_db=0:30:5", "--methods", "mc,hd,oma,exact,lb,asymp",
+         "--seed", "7", "--trials", "200000", "--partitions", "2"],
+        "3f53ddba9b251416cc06c33602265af9f93cd57c6ba5608f9f5f25ec9314d4e9",
+    ),
+    "cee-analytic": (
+        dict(sigma_e_sr_sq=0.03, sigma_e_ru_sq=0.03),
+        ["--sweep", "snr_db=0:60:20", "--methods", "exact,lb,asymp"],
+        "d0aa75ac78ac801178615ea68427aa38ec05e888d04719620d70db4b73d3661f",
+    ),
+    "3x2-mu-sweep": (
+        dict(tx_antennas=3, rx_antennas=2, m_sr=2),
+        ["--sweep", "mu=0:1:0.25", "--methods", "exact,lb,asymp,mc", "--seed", "3", "--trials", "100000"],
+        "3d769c9e04c20f74e9ad32f22e95cbd93d98be009e999f26d578a047f95227dd",
+    ),
+    "per-user-fading-mc": (
+        dict(m_ru=(1, 2, 1), d_ru=(0.4, 0.5, 0.7)),
+        ["--sweep", "snr_db=0:20:10", "--methods", "mc,hd,oma", "--seed", "5", "--trials", "100000"],
+        "4cf22faf5ad9eccd789a65477ecce7c8dd83b622524cc02d89cb12d479e79e1b",
+    ),
+}
+
+
+@pytest.mark.skipif((np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
+                    reason="CSV bytes recorded with numpy 2.4.6 and scipy 1.17.1")
+@pytest.mark.parametrize("name", PINNED_SWEEPS)
+def test_sweep_csv_bytes_are_pinned(tmp_path, name):
+    overrides, argv, digest = PINNED_SWEEPS[name]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config_to_dict(default_config(**overrides))))
+    out = tmp_path / "pinned.csv"
+    assert main(["--config", str(p), *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fdnoma import default_config, derive_constants, estimate, estimate_all_users, montecarlo, op_exact
-from fdnoma.baselines import BaselineConfig, hd_job, oma_job
+from fdnoma.baselines import hd_job, oma_job
 from fdnoma.montecarlo import BLOCK_TRIALS, CACHED_BLOCKS, Job, _block_units, _estimate
 
 
@@ -70,7 +70,7 @@ def test_interleaved_streams_match_cold_runs(ideal_cfg):
     runs = {
         "A": ([mc], trials, 5),
         "B": ([mc], trials, 6),
-        "C": ([hd_job(BaselineConfig(base=cfg, mode="hd_noma"))], trials, 5),
+        "C": ([hd_job(cfg)], trials, 5),
         "D": ([Job(derive_constants(replace(cfg, m_sr=2)), None, "mc")], trials, 5),
         "E": ([mc], trials + 1, 5),
     }
@@ -173,15 +173,6 @@ def test_concurrent_streams_match_sequential_runs(ideal_cfg):
     assert len(_held()) <= 1
 
 
-def test_one_thread_or_one_block_runs_inline(ideal_cfg, monkeypatch):
-    expected = [e.op_value for e in estimate_all_users(ideal_cfg, BLOCK_TRIALS + 1000, seed=7, partitions=2)]
-    single = [e.op_value for e in estimate_all_users(ideal_cfg, 1000, seed=7, partitions=2)]
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", None)  # any pool would raise
-    _block_units.cache_clear()
-    assert [e.op_value for e in estimate_all_users(ideal_cfg, BLOCK_TRIALS + 1000, seed=7, partitions=1)] == expected
-    assert [e.op_value for e in estimate_all_users(ideal_cfg, 1000, seed=7, partitions=4)] == single
-
-
 def test_trials_and_users_validation(ideal_cfg):
     with pytest.raises(ValueError):
         estimate_all_users(ideal_cfg, trials=0)
@@ -264,8 +255,7 @@ PINNED_COUNTS = [
 @pytest.mark.parametrize("cfg, counts", PINNED_COUNTS,
                          ids=["2x2-reference", "3x2-impaired", "2x2-two-users", "2x2-unequal-users"])
 def test_pinned_outage_counts(cfg, counts):
-    jobs = [Job(derive_constants(cfg), None, "mc"), hd_job(BaselineConfig(cfg, "hd_noma")),
-            oma_job(BaselineConfig(cfg, "fd_oma"))]
+    jobs = [Job(derive_constants(cfg), None, "mc"), hd_job(cfg), oma_job(cfg)]
     results = _estimate(jobs, BLOCK_TRIALS, 2026, 1)
     assert {job.method: [round(e.op_value * e.trials) for e in ests]
             for job, ests in zip(jobs, results)} == counts
