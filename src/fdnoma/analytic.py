@@ -11,13 +11,10 @@ Four routes to the same quantity, used to cross-validate each other:
   whose mean is Gamma-distributed is negative binomial; Greenwood & Yule,
   J. R. Stat. Soc. 83, 1920).  The body is one integral over
   a = log(y - c) of the ordered density times that kernel, by the
-  halving-checked log-axis trapezoid rule: started on the nodes of the
-  scan that picks its window (step 0.25) and halved, evaluating only
-  the new midpoints, while its check fails (floor 0.03125).
+  log-axis rule on a scan at step 0.25 (floor 0.03125).
 * :func:`op_oracle_2d` - the same head and the same a-axis, with z
-  integrated numerically instead: a tensor-product trapezoid over a and
-  b = log z, started at step 0.1 and halved, reusing every node, while
-  its check fails (floor 0.025); the reference oracle.
+  integrated numerically instead: the same rule on the two axes a and
+  b = log z, on a scan at step 0.2 (floor 0.025); the reference oracle.
 * :func:`op_lower_bound` - the two-hop SIDNR bounded by the smaller of
   the per-hop ratios: the same kernel at one point, and the head.
 * :func:`op_asymptotic` - high-SNR behavior: diversity order and array
@@ -45,13 +42,13 @@ one derivation per grid point.  An infeasible user has no view (its
 outage is 1); the closed forms need i.i.d. user gains, so unequal user
 statistics raise :class:`~fdnoma.config.ConfigError`.
 
-Every quadrature uses one halving-checked log-axis trapezoid rule: a
-window on a scan (:func:`_window`) and a check against the rule on every
-other node (:func:`_check_halving`).  The 1-D integrals, the exact body
-and :func:`tail_weight_integral`, share one nested rule started on the
-scan nodes (:func:`_scan_rule`); the oracle lays its own tensor-product
-grid on the window (:func:`_trapezoid`).  Each raises
-:class:`NumericsError` rather than return a value it cannot back.
+Every quadrature, the exact body, :func:`tail_weight_integral` and the
+oracle's two axes, is one nested log-axis trapezoid rule,
+:func:`_scan_rule`: it starts on the scan nodes inside a window
+(:func:`_window`) and halves the step, evaluating only the new nodes,
+while it differs from the rule on every other node by more than 1e-12
+relative, at most three times.  It raises :class:`NumericsError` rather
+than return a value it cannot back.
 """
 
 from __future__ import annotations
@@ -138,91 +135,100 @@ def _user_view(dc: DerivedConstants, user: int) -> _User | None:
 
 # -- the log-axis trapezoid rule --------------------------------------------
 
-# Relative step-halving tolerance of every log-axis rule, and how often a
-# rule started on scan nodes may halve the scan step while its check fails
-# (floor: the scan step / 8).
+# Relative step-halving tolerance of every log-axis rule, how often a rule
+# may halve its scan step while its check fails (floor: the scan step / 8),
+# and how many nodes of a log integrand it evaluates at a time (which
+# bounds the temporaries of a two-axis rule to a few MB).
 _REL_TOL = 1e-12
 _HALVINGS = 3
+_BLOCK_NODES = 1 << 15
 
 
 def _window(scan, phi, name):
-    """The indices (first, last) of the window of ``phi``, a log integrand on
-    the nodes ``scan``: every node within e^-40 of the peak, widened by one
-    node per side, which holds all but ~e^-40 of the mass of a concave phi.
-    A window at an end of the scan (or an all-NaN phi) raises
+    """The indices (first, last) of the window of ``phi``, a log integrand
+    (or its max-profile) on the nodes ``scan``: every node within e^-40 of
+    the peak, widened by one node per side, which holds all but ~e^-40 of
+    the mass of a concave phi, and by one more node when the interval
+    count is odd, so that the rule on every other node keeps both ends.  A
+    window at or past an end of the scan (or an all-NaN phi) raises
     :class:`NumericsError`, naming the integrand ``name``."""
     inside = phi >= phi.max() - 40.0
     first = np.argmax(inside) - 1
     last = len(scan) - np.argmax(inside[::-1])
+    last += (last - first) % 2
     if first < 0 or last >= len(scan):
-        raise _uncontained(name, scan)
+        raise NumericsError(f"{name} not contained in the log-axis scan [{scan[0]:g}, {scan[-1]:g}]")
     return first, last
 
 
-def _uncontained(what, scan):
-    """The :class:`NumericsError` of an integrand ``what`` whose window
-    reaches an end of the log-axis ``scan``."""
-    return NumericsError(f"{what} not contained in the log-axis scan [{scan[0]:g}, {scan[-1]:g}]")
+_EVEN, _ODD, _ALL = slice(None, None, 2), slice(1, None, 2), slice(None)
 
 
-def _trapezoid(lo, hi, step):
-    """The trapezoid rule on the window [lo, hi]: its step and end-halved
-    weights.  The interval count is even, so the rule on every other node
-    (the halving check) keeps both ends, with steps of at most ``step``."""
-    n = math.ceil((hi - lo) / step)
-    n += n % 2
-    weights = np.ones(n + 1)
-    weights[0] = weights[n] = 0.5
-    return (hi - lo) / n, weights
+def _sum(f, cut):
+    """The trapezoid sum of the values ``f`` on the nodes ``cut`` of a grid,
+    axis by axis from the last: a plain sum along an axis cut to its odd
+    nodes (which hold no end), else the sum with both end nodes halved."""
+    for c in reversed(cut):
+        f = f.sum(axis=-1) if c is _ODD else 0.5 * (f[..., 0] + f[..., -1]) + f[..., 1:-1].sum(axis=-1)
+    return f
 
 
-def _check_halving(fine, coarse, name):
-    """Raise :class:`NumericsError` when a rule (``fine``) and the same rule
-    on every other node (``coarse``) differ by more than ``_REL_TOL``
-    relative, naming the integral ``name``."""
-    rel_err = abs(fine - coarse) / fine
-    if not rel_err <= _REL_TOL:
-        raise NumericsError(f"{name} did not converge (step-halving relative error {rel_err:.2e})")
+def _blocks(phi, nodes):
+    """``phi`` on the open grid of the node arrays ``nodes``, in blocks along
+    axis 0 of at most ``_BLOCK_NODES`` nodes (one row at least)."""
+    rows = max(1, _BLOCK_NODES // math.prod(map(len, nodes[1:])))
+    return (phi(nodes[0][i:i + rows], *nodes[1:]) for i in range(0, len(nodes[0]), rows))
 
 
-def _scan_rule(phi, scan, step, name):
-    """The integral of exp(phi(w)) dw by a nested trapezoid rule started on
-    the nodes ``scan`` (spaced ``step``), for a vectorized log integrand
-    ``phi`` with one concave bump.
+def _grid_sum(phi, nodes, cut, top):
+    """:func:`_sum` of exp(phi - top) on the nodes ``cut`` of the grid
+    ``nodes``, by blocks along axis 0, each reduced along its other axes."""
+    rows = [_sum(np.exp(v - top), cut[1:]) for v in _blocks(phi, [x[c] for x, c in zip(nodes, cut)])]
+    return _sum(np.concatenate(rows), cut[:1])
 
-    Its first level is the scan nodes of :func:`_window` (widened by one
-    node when its interval count is odd), so no node is evaluated twice.
-    While the check against the rule on every other node fails, the step
-    is halved and only the new midpoints are evaluated, at most
+
+def _scan_rule(phi, scans, step, name):
+    """The integral of exp(phi(w_0, ...)) over one or two log axes by a
+    nested trapezoid rule started on the nodes ``scans`` (one scan per
+    axis, each spaced ``step``), for a vectorized log integrand ``phi``
+    with one concave bump that returns its values on the open grid of its
+    node arrays.
+
+    Its first level is the scan nodes inside the window of each axis
+    (:func:`_window` on the max-profile along the other axes), so no node
+    is evaluated twice.  While the rule and the same rule on every other
+    node differ by more than ``_REL_TOL`` relative, the step is halved on
+    every axis and only the new nodes are evaluated, at most
     ``_HALVINGS`` times; a check that still fails then raises
-    :class:`NumericsError`, as does a window at an end of the scan."""
+    :class:`NumericsError`, naming the integral ``name``, as does a window
+    at an end of a scan."""
+    d = len(scans)
+    # per axis k, the nodes a halving adds that are odd on axis k: even on
+    # the axes before it, any on the axes after it (on one axis, the midpoints)
+    cuts = [(_EVEN,) * k + (_ODD,) + (_ALL,) * (d - k - 1) for k in range(d)]
     with np.errstate(divide="ignore"):
-        values = phi(scan)
-        first, last = _window(scan, values, name)
-        if (last - first) % 2:
-            # an even interval count: the rule on every other node keeps both ends
-            last += 1
-            if last == len(scan):
-                raise _uncontained(name, scan)
-        body = values[first:last + 1]
+        values = np.concatenate(list(_blocks(phi, scans)))
+        windows = [_window(scan, values.max(axis=tuple(j for j in range(d) if j != k)), name)
+                   for k, scan in enumerate(scans)]
+        body = values[tuple(slice(first, last + 1) for first, last in windows)]
+        nodes = [scan[first:last + 1] for scan, (first, last) in zip(scans, windows)]
         top = body.max()
         f = np.exp(body - top)
-        # the rule on every other node, then per level its new nodes: the
-        # odd nodes, then the midpoints of each halving
-        coarse_sum = 0.5 * (f[0] + f[-1]) + f[2:-1:2].sum()
-        fresh, h, n = f[1::2], step, last - first
+        coarse_sum, h = _sum(f[(_EVEN,) * d], (_EVEN,) * d), step
+        fresh = sum(_sum(f[cut], cut) for cut in cuts)
         for level in range(_HALVINGS + 1):
-            fine_sum = coarse_sum + fresh.sum()
-            try:
-                _check_halving(h * fine_sum, 2.0 * h * coarse_sum, name)
+            fine_sum = coarse_sum + fresh
+            fine = h ** d * fine_sum
+            rel_err = abs(fine - 2.0 ** d * h ** d * coarse_sum) / fine
+            if rel_err <= _REL_TOL:
                 break
-            except NumericsError:
-                if level == _HALVINGS:
-                    raise
+            if level == _HALVINGS:
+                raise NumericsError(f"{name} did not converge (step-halving relative error {rel_err:.2e})")
             coarse_sum, h = fine_sum, h / 2
-            fresh = np.exp(phi(scan[first] + h * np.arange(1, 2 * n, 2)) - top)
-            n *= 2
-    return math.exp(top) * h * fine_sum
+            # the even nodes of a halved axis are its old nodes, bit for bit
+            nodes = [np.insert(x, range(1, len(x)), x[0] + h * np.arange(1, 2 * len(x) - 1, 2)) for x in nodes]
+            fresh = sum(_grid_sum(phi, nodes, cut, top) for cut in cuts)
+    return math.exp(top) * h ** d * fine_sum
 
 
 # -- tail integral ----------------------------------------------------------
@@ -267,7 +273,7 @@ def tail_weight_integral(
 
     name = (f"tail integral (p={power:g}, rate={rate:g}, inv_rate={inv_rate:g}, "
             f"shift={shift:g}, shift_power={shift_power:g})")
-    return float(_scan_rule(phi, np.linspace(-60.0, 45.0, 3361), 0.03125, name))
+    return float(_scan_rule(phi, (np.linspace(-60.0, 45.0, 3361),), 0.03125, name))
 
 
 # -- the relay kernel and the exact outage -----------------------------------
@@ -291,19 +297,29 @@ def _relay_cdf(k1: int, k3: int, theta, mean):
     return (np.exp(log_nb) * gammainc(k1 - j, mean)).sum(axis=0) + betainc(k1, k3, theta / (1.0 + theta))
 
 
-# Step of the scan that picks the window of both body rules, and how far
-# the scan reaches beyond the data anchors (below the leftmost anchor,
-# above the rightmost one).
-_ORACLE_SCAN_STEP = 0.25
-_ORACLE_REACH = (50.0, 8.0)
+# Scan steps of the exact body (one axis) and of the oracle (two axes),
+# and how far each scan reaches beyond its data anchors (below the
+# leftmost anchor, above the rightmost one).
+_SCAN_STEP = 0.25
+_ORACLE_SCAN_STEP = 0.2
+_REACH = (50.0, 8.0)
 
 
-def _a_axis(view: _User):
+def _scan(lo, hi, step):
+    """The nodes lo + i*step below hi, spaced ``step`` as the rule weighs
+    them.  np.arange spaces its nodes fl(lo + step) - lo instead, up to
+    1.4e-14 relative off the step at 0.2 and lo near -50, which biases the
+    rule by as much; at a power-of-two step the two agree bit for bit."""
+    return lo + step * np.arange(math.ceil((hi - lo) / step))
+
+
+def _a_axis(view: _User, step: float):
     """The axis a = log(y - c) of the outage body above the floor c, shared
-    by :func:`op_exact` and :func:`op_oracle_2d`: the scan nodes that pick
-    its window and ``rows(a)``, which gives (log weight, log need factor)
-    per node.  The log weight is a + log f(y) for the ordered density f,
-    and g1 < need(y, z) reads g1 / s1 < exp(log need factor) * (t4*z + t5).
+    by :func:`op_exact` and :func:`op_oracle_2d`: the scan nodes, spaced
+    ``step``, that start its rule and ``rows(a)``, which gives (log
+    weight, log need factor) per node.  The log weight is a + log f(y) for
+    the ordered density f, and g1 < need(y, z) reads
+    g1 / s1 < exp(log need factor) * (t4*z + t5).
 
     The scan is anchored at the user-gain scale and, far left of it at
     high SNR, at the distance above the floor where need(y, z) at the
@@ -317,21 +333,21 @@ def _a_axis(view: _User):
         y = c + np.exp(a)
         return a + ordered_logpdf(y, view.l, view.L, view.k2, s2), np.log(y + t2) + log_need0 - a
 
-    left, right = _ORACLE_REACH
+    left, right = _REACH
     log_s2 = math.log(s2)
     a_turn = math.log((c + t2) * (view.t5 + view.t4 * view.s3)) + log_need0
-    return np.arange(min(a_turn, log_s2) - left, log_s2 + right, _ORACLE_SCAN_STEP), rows
+    return _scan(min(a_turn, log_s2) - left, log_s2 + right, step), rows
 
 
 def _op_exact(view: _User | None) -> float:
     """Exact outage probability of one user view (1 for None): the head
     P(y <= c) plus the body, the integral over a = log(y - c) of the
     ordered density times :func:`_relay_cdf`, by :func:`_scan_rule` on
-    :func:`_a_axis`'s scan (floor step 0.25 / 8 = 0.03125)."""
+    :func:`_a_axis`'s scan (step 0.25, floor 0.25 / 8 = 0.03125)."""
     if view is None:
         return 1.0
     head = ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
-    a_scan, rows = _a_axis(view)
+    a_scan, rows = _a_axis(view, _SCAN_STEP)
     k1, k3, theta_r, mean_r = view.k1, view.k3, view.t4 * view.s3, view.t5
 
     def phi(a):
@@ -339,7 +355,7 @@ def _op_exact(view: _User | None) -> float:
         r = np.exp(log_need)
         return log_w + np.log(_relay_cdf(k1, k3, r * theta_r, r * mean_r))
 
-    body = _scan_rule(phi, a_scan, _ORACLE_SCAN_STEP, "exact body in a = log(y - c)")
+    body = _scan_rule(phi, (a_scan,), _SCAN_STEP, "exact body in a = log(y - c)")
     return float(min(head + body, 1.0))
 
 
@@ -354,12 +370,6 @@ def op_exact(cfg: SystemConfig, user: int) -> float:
 
 # -- 2-D log-axis oracle ----------------------------------------------------
 
-# Start step on both log axes of the oracle and how often a failed
-# halving check may halve it (floor 0.1 / 4 = 0.025).
-_ORACLE_STEP = 0.1
-_ORACLE_HALVINGS = 2
-
-
 def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
     """Reference outage value by direct 2-D integration on log axes.
 
@@ -372,17 +382,11 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
     E[P(g1 < need); y > c] is integrated over a = log(y - c) and
     b = log z, where its mass just above the floor and its slow
     power-law flanks become one smooth bump.  The rule is the log-axis
-    trapezoid of :func:`op_exact` in two dimensions: a tensor-product
-    trapezoid over the window of the bump's peak profile along each
-    axis, from a coarse scan anchored at the gain scales and at the
-    first-hop transition near the floor (the a scan is
-    :func:`_a_axis`), with the same step-halving check at 1e-12
-    relative.  It starts at step 0.1 on both axes; while the check fails
-    it halves both steps, down to a floor of 0.025, and evaluates only
-    the new nodes (the rule is nested, so every old node is reused).  A
-    check that still fails at the floor, or a window that reaches an end
-    of the scan, raises :class:`NumericsError`.  The z average, which
-    :func:`op_exact` takes in closed form, is numeric here.
+    trapezoid of :func:`op_exact` on two axes, :func:`_scan_rule`, on a
+    scan at step 0.2 on both axes (floor 0.025), anchored at the gain
+    scales and at the first-hop transition near the floor (the a scan is
+    :func:`_a_axis`).  The z average, which :func:`op_exact` takes in
+    closed form, is numeric here.
     """
     view = _user_view(derive_constants(cfg), user)
     if view is None:
@@ -393,58 +397,20 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
     # The integrand factors into a row part in a = log(y - c), a column
     # part in b = log z and P(g1 < need); need / s1 is the product of
     # a row and a column factor.  Each part is (log weight, log need factor).
-    a_scan, rows = _a_axis(view)
+    step = _ORACLE_SCAN_STEP
+    a_scan, rows = _a_axis(view, step)
 
-    def cols(b):
-        z = np.exp(b)
-        return b + ordered_logpdf(z, 1, 1, k3, scale3), np.log(z * t4 + t5)
-
-    def phi(row, col):
-        """log of the body's integrand in (a, b), rows by columns."""
-        (w_row, n_row), (w_col, n_col) = row, col
+    def phi(a, b):
+        """log of the body's integrand on the grid a by b."""
+        (w_row, n_row), z = rows(a), np.exp(b)
+        w_col, n_col = b + ordered_logpdf(z, 1, 1, k3, scale3), np.log(z * t4 + t5)
         return w_row[:, None] + w_col + np.log(gammainc(k1, np.exp(n_row[:, None] + n_col)))
 
-    def grid_sum(a, wa, b, wb):
-        """sum of wa_i wb_j exp(phi(a_i, b_j) - top) over the grid a by b."""
-        row, col = rows(a), cols(b)
-        total = 0.0
-        block = 64  # rows at a time: bounds the temporaries to a few MB
-        with np.errstate(divide="ignore"):
-            for i in range(0, len(a), block):
-                s = slice(i, i + block)
-                total += float(wa[s] @ np.exp(phi(tuple(v[s] for v in row), col) - top) @ wb)
-        return total
-
     # The b scan is anchored at the loop-interference scale.
-    left, right = _ORACLE_REACH
-    b_scan = np.arange(math.log(scale3) - left, math.log(scale3) + right, _ORACLE_SCAN_STEP)
-    with np.errstate(divide="ignore"):
-        scan = phi(rows(a_scan), cols(b_scan))
-    top = scan.max()
-    first, last = _window(a_scan, scan.max(axis=1), "oracle integrand in a = log(y - c)")
-    lo_a, hi_a = a_scan[first], a_scan[last]
-    first, last = _window(b_scan, scan.max(axis=0), "oracle integrand in b = log z")
-    lo_b, hi_b = b_scan[first], b_scan[last]
-    ha, wa = _trapezoid(lo_a, hi_a, _ORACLE_STEP)
-    hb, wb = _trapezoid(lo_b, hi_b, _ORACLE_STEP)
-    a, b = lo_a + ha * np.arange(len(wa)), lo_b + hb * np.arange(len(wb))
-    # The rule on every other node, then per level its new nodes: the odd
-    # rows, and the even rows at the odd columns.  The even nodes of a
-    # halved grid are the old nodes, bit for bit (halving is exact).
-    coarse_sum = grid_sum(a[::2], wa[::2], b[::2], wb[::2])
-    for level in range(_ORACLE_HALVINGS + 1):
-        fine_sum = (coarse_sum + grid_sum(a[1::2], wa[1::2], b, wb)
-                    + grid_sum(a[::2], wa[::2], b[1::2], wb[1::2]))
-        try:
-            _check_halving(ha * hb * fine_sum, 4.0 * ha * hb * coarse_sum, "oracle body")
-            break
-        except NumericsError:
-            if level == _ORACLE_HALVINGS:
-                raise
-        coarse_sum, ha, hb = fine_sum, ha / 2, hb / 2
-        wa, wb = (np.r_[0.5, np.ones(2 * len(w) - 3), 0.5] for w in (wa, wb))
-        a, b = lo_a + ha * np.arange(len(wa)), lo_b + hb * np.arange(len(wb))
-    return float(min(head + math.exp(top) * ha * hb * fine_sum, 1.0))
+    left, right = _REACH
+    b_scan = _scan(math.log(scale3) - left, math.log(scale3) + right, step)
+    body = _scan_rule(phi, (a_scan, b_scan), step, "oracle body in (a, b) = (log(y - c), log z)")
+    return float(min(head + body, 1.0))
 
 
 # -- closed-form lower bound ------------------------------------------------

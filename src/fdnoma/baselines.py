@@ -19,10 +19,13 @@ thresholds are the config's optional keys ``hd_thresholds`` and
   thresholds fixed, the outage comparison is threshold-to-threshold.
 * Full-duplex OMA serves each user alone: user ``l`` is user 1 of a
   one-user configuration (power coefficient 1, so no interference and no
-  SIC; threshold ``oma_threshold``; that user's ``m_ru`` and ``d_ru``),
-  with the loop-interference term kept.  The threshold defaults to the
-  rate-sum equivalent ``prod(1 + thr_l) - 1``.  Each user keeps its own,
-  unordered channel (an unsorted job): orthogonal access has no
+  SIC; threshold ``oma_threshold``), with the loop-interference term
+  kept.  The threshold defaults to the rate-sum equivalent
+  ``prod(1 + thr_l) - 1``.  The mask reads the same one-user noise, peak
+  demand and feasibility for every user, so the job is the base system
+  with those three replaced; each user's own ``m_ru`` and ``d_ru`` enter
+  only through the draw scales of the base system.  Each user keeps its
+  own, unordered channel (an unsorted job): orthogonal access has no
   ordering-based power allocation, so the multiuser-diversity boost of
   the ordered gains belongs to the NOMA side only.
 """
@@ -32,9 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .config import ConfigError, SystemConfig, derive_constants
 from .montecarlo import Job, _estimate
-from .sidnr import outage_mask
 
 __all__ = [
     "BaselineConfig",
@@ -93,23 +97,19 @@ def hd_job(base: SystemConfig, users=None) -> Job:
 
 
 def oma_job(base: SystemConfig, users=None) -> Job:
-    """The full-duplex OMA system as a Monte Carlo job; the threshold is
-    ``oma_threshold``, by default the rate sum of the base thresholds."""
+    """The full-duplex OMA system as a Monte Carlo job: the base system with
+    every user's noise, peak demand and feasibility those of the one-user
+    system at ``oma_threshold`` (by default the rate sum of the base
+    thresholds), its user gains unsorted."""
     thr = base.oma_threshold or oma_threshold_rate_sum(base.thresholds)
-    solo = [
-        derive_constants(
-            replace(
-                base, num_users=1, power_coeffs=(1.0,), thresholds=(thr,),
-                m_ru=(m,), d_ru=(d,), hd_thresholds=None, oma_threshold=None,
-            )
-        )
-        for m, d in zip(base.m_ru, base.d_ru)
-    ]
-
-    def mask(g1, g2, g3, dc, user):
-        return outage_mask(g1, g2[:, user - 1:user], g3, solo[user - 1], 1)
-
-    return Job(derive_constants(base), users, "oma", mask, sort=False)
+    solo = derive_constants(replace(
+        base, num_users=1, power_coeffs=(1.0,), thresholds=(thr,),
+        m_ru=base.m_ru[:1], d_ru=base.d_ru[:1], hd_thresholds=None, oma_threshold=None,
+    ))
+    L = base.num_users
+    dc = replace(derive_constants(base), noise_ru=np.repeat(solo.noise_ru, L),
+                 demand_peak=np.repeat(solo.demand_peak, L), feasible=np.repeat(solo.feasible, L))
+    return Job(dc, users, "oma", sort=False)
 
 
 def hd_outage_all(bcfg: BaselineConfig, trials, seed=0, partitions=1, users=None):

@@ -8,9 +8,9 @@ argument controls scheduling concurrency and can never change a result.
 
 One private engine, :func:`_estimate`, runs every Monte Carlo figure:
 the full-duplex NOMA system here and both comparison systems in
-:mod:`fdnoma.baselines`, which differ only in the derived constants,
-the user-gain ordering and the per-user mask of their :class:`Job` (by
-default :func:`~fdnoma.sidnr.outage_mask`, one comparison per user).  One
+:mod:`fdnoma.baselines`, which differ only in the derived constants and
+the user-gain ordering of their :class:`Job`; every job marks outages
+by :func:`~fdnoma.sidnr.outage_mask`, one comparison per user.  One
 call serves a whole sweep (every grid point and method) from one stream:
 each block's unit Gamma draws are made once and scaled to every job,
 which gives each job the counts of a separate run, bit for bit.
@@ -36,7 +36,6 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -118,15 +117,14 @@ def _run_blocks(kernel, trials: int, partitions: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Job:
-    """One Monte Carlo figure: ``mask(g1, g2, g3, dc, user)`` marks the
-    outages of ``users`` (default all) among draws scaled to ``dc``.  A
-    ``dc`` with zero loop-interference power (half duplex) sees
+    """One Monte Carlo figure: :func:`~fdnoma.sidnr.outage_mask` on ``dc``
+    marks the outages of ``users`` (default all) among draws scaled to
+    ``dc``.  A ``dc`` with zero loop-interference power (half duplex) sees
     ``g3 = 0.0``; ``sort=False`` keeps the user gains in draw order."""
 
     dc: DerivedConstants
     users: tuple[int, ...] | None
     method: str
-    mask: Callable = outage_mask
     sort: bool = True
 
     def __post_init__(self):
@@ -168,7 +166,7 @@ def _estimate(jobs: list[Job], trials, seed, partitions) -> list[list[OutageEsti
                 for i in members:
                     job, (s1, _, s3) = jobs[i], laws[i][1]
                     g1, g3 = s1 * unit_sr, (s3 * unit_li if s3 > 0 else 0.0)
-                    counts[i] += [np.count_nonzero(job.mask(g1, g2, g3, job.dc, u)) for u in job.users]
+                    counts[i] += [np.count_nonzero(outage_mask(g1, g2, g3, job.dc, u)) for u in job.users]
         return np.concatenate(counts)
 
     p = _run_blocks(kernel, trials, partitions) / trials

@@ -161,6 +161,43 @@ class TestTailIntegral:
             tail_weight_integral(**args)
 
 
+def _grid_nodes(a, b):
+    """The nodes (a_i, b_j) of the grid a by b, rows first."""
+    return np.stack(np.meshgrid(a, b, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+class TestTwoAxisRule:
+    """The two-axis log-axis rule on a separable bump whose integral is
+    Gamma(p+1) Gamma(q+1) / (r^(p+1) s^(q+1)) (x = e^a, y = e^b)."""
+
+    @staticmethod
+    def integral(p, r, q, s):
+        def phi(a, b):
+            return ((p + 1) * a - r * np.exp(a))[:, None] + (q + 1) * b - s * np.exp(b)
+
+        return analytic._scan_rule(phi, (np.arange(-50.0, 40.0, 0.25), np.arange(-100.0, 20.0, 0.25)), 0.25, "bump")
+
+    @pytest.mark.parametrize("p, r, q, s", [
+        (0.0, 1.0, 0.0, 1.0),
+        (2.0, 0.5, -0.5, 3.0),
+        (5.0, 40.0, 0.3, 0.01),
+        (99.0, 100.0, 1.0, 2.0),  # ~0.1 wide along a: resolved only once halved
+    ])
+    def test_matches_gamma_functions(self, p, r, q, s):
+        want = math.exp(math.lgamma(p + 1) - (p + 1) * math.log(r) + math.lgamma(q + 1) - (q + 1) * math.log(s))
+        assert self.integral(p, r, q, s) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_narrow_bump_must_halve(self, monkeypatch):
+        # the narrow case passes its check only after all three halvings
+        monkeypatch.setattr(analytic, "_HALVINGS", 2)
+        with pytest.raises(NumericsError, match="bump did not converge"):
+            self.integral(99.0, 100.0, 1.0, 2.0)
+
+    def test_bump_outside_a_scan_raises(self):
+        with pytest.raises(NumericsError, match="bump not contained"):
+            self.integral(0.0, 1e-20, 0.0, 1.0)  # peak near a = 46
+
+
 class TestRelayKernel:
     def test_matches_arbitrary_precision(self, relay_cdf_references):
         for case, want in relay_cdf_references:
@@ -218,7 +255,7 @@ class TestExactVsOracle:
         # the rule starts on the scan's own nodes and adds only midpoints:
         # a point that halves once evaluates at most twice the scan's nodes
         cfg = default_config(tx_antennas=2, rx_antennas=2, li_quality_mu=0.2, snr_db=40.0)
-        scan = analytic._a_axis(analytic._user_view(derive_constants(cfg), 2))[0]
+        scan = analytic._a_axis(analytic._user_view(derive_constants(cfg), 2), analytic._SCAN_STEP)[0]
         nodes = []
         kernel = analytic._relay_cdf
         monkeypatch.setattr(analytic, "_relay_cdf",
@@ -228,12 +265,39 @@ class TestExactVsOracle:
         assert len(nodes) == 2  # the scan, then one level of midpoints
         assert sum(nodes) <= 2 * len(scan)
 
-    def test_odd_window_widened_past_the_scan_raises(self, monkeypatch):
+    def test_oracle_evaluates_no_node_twice(self, monkeypatch):
+        # the two-axis twin: the rule starts on the scan grid, and each
+        # halving adds only nodes new to the halved grid, so the nodes on
+        # the final grid are evaluated once each and no node twice
+        cfg = default_config(li_quality_mu=0.2, snr_db=30.0)
+        scans, calls = [], []
+        rule = analytic._scan_rule
+
+        def recording(phi, axes, step, name):
+            scans.append(axes)
+            return rule(lambda a, b: calls.append(_grid_nodes(a, b)) or phi(a, b), axes, step, name)
+
+        monkeypatch.setattr(analytic, "_scan_rule", recording)
+        op_oracle_2d(cfg, 1)
+        ((a_scan, b_scan),) = scans
+        nodes = np.concatenate(calls)
+        n_scan = len(a_scan) * len(b_scan)
+        assert np.array_equal(nodes[:n_scan], _grid_nodes(a_scan, b_scan))
+        assert len({tuple(p) for p in nodes.tolist()}) == len(nodes)
+        fresh = nodes[n_scan:]
+        assert len(fresh) > 0  # the point halves
+        a, b = np.unique(fresh[:, 0]), np.unique(fresh[:, 1])
+        on_grid = np.isin(nodes[:, 0], a) & np.isin(nodes[:, 1], b)
+        assert on_grid[n_scan:].all()
+        assert on_grid.sum() == len(a) * len(b)
+
+    def test_odd_window_widened_past_the_scan_raises(self):
         # a window of three intervals ending at the last scan node cannot
-        # gain the fourth its halving check needs
-        monkeypatch.setattr(analytic, "_window", lambda scan, phi, name: (len(scan) - 4, len(scan) - 1))
-        with pytest.raises(NumericsError, match="not contained"):
-            op_exact(default_config(li_quality_mu=0.2, snr_db=30.0), 1)
+        # gain the fourth its halving check needs; one of four can
+        phi = np.array([-99.0, -99.0, -99.0, 0.0, 0.0, -99.0])
+        assert analytic._window(np.arange(7.0), np.r_[phi, -99.0], "probe") == (2, 6)
+        with pytest.raises(NumericsError, match="probe not contained"):
+            analytic._window(np.arange(6.0), phi, "probe")
 
     def test_nan_integrand_is_not_contained(self):
         # a NaN profile has no peak, so no window: a NumericsError, not an IndexError
@@ -308,14 +372,14 @@ class TestExactVsOracle:
                 assert op_asymptotic(cfg, u).regime != "infeasible"
 
     def test_oracle_window_at_scan_edge_raises(self, monkeypatch):
-        monkeypatch.setattr(analytic, "_ORACLE_REACH", (5.0, 1.0))
+        monkeypatch.setattr(analytic, "_REACH", (5.0, 1.0))
         with pytest.raises(NumericsError, match="scan"):
             op_oracle_2d(default_config(li_quality_mu=0.2, snr_db=30.0), 1)
 
     def test_oracle_unresolved_body_raises(self, monkeypatch):
         # one node per unit of log gain, not refined, cannot resolve the bump to 1e-12
-        monkeypatch.setattr(analytic, "_ORACLE_STEP", 1.0)
-        monkeypatch.setattr(analytic, "_ORACLE_HALVINGS", 0)
+        monkeypatch.setattr(analytic, "_ORACLE_SCAN_STEP", 1.0)
+        monkeypatch.setattr(analytic, "_HALVINGS", 0)
         with pytest.raises(NumericsError, match="step-halving"):
             op_oracle_2d(default_config(li_quality_mu=0.2, snr_db=30.0), 1)
 
@@ -326,7 +390,7 @@ class TestExactVsOracle:
         with pytest.raises(NumericsError, match="step-halving"):
             op_exact(cfg, 1)
         monkeypatch.setattr(analytic, "_HALVINGS", 3)
-        monkeypatch.setattr(analytic, "_ORACLE_REACH", (5.0, 1.0))
+        monkeypatch.setattr(analytic, "_REACH", (5.0, 1.0))
         with pytest.raises(NumericsError, match="scan"):
             op_exact(cfg, 1)
 
@@ -374,18 +438,18 @@ class TestDeepTail:
         assert op_oracle_2d(deep_tail_config(snr_db), 1) == pytest.approx(DEEP_TAIL[snr_db], rel=1e-9, abs=0)
 
     def test_oracle_refines_by_halving(self, monkeypatch):
-        # from step 0.4 the check fails at 0.4 and 0.2, so the value comes
-        # from two halvings that reuse every node already evaluated
+        # from a scan at step 0.4 the check fails at 0.4 and 0.2, so the
+        # value comes from two halvings that reuse every node already evaluated
         cases = [(default_config(li_quality_mu=0.2, snr_db=30.0), None)]
         cases += [(deep_tail_config(snr_db), DEEP_TAIL[snr_db]) for snr_db in sorted(DEEP_TAIL)]
         default = [op_oracle_2d(cfg, 1) for cfg, _ in cases]
-        monkeypatch.setattr(analytic, "_ORACLE_STEP", 0.4)
+        monkeypatch.setattr(analytic, "_ORACLE_SCAN_STEP", 0.4)
         for (cfg, pinned), want in zip(cases, default):
             got = op_oracle_2d(cfg, 1)
             assert got == pytest.approx(want, rel=1e-13, abs=0)
             if pinned is not None:
                 assert got == pytest.approx(pinned, rel=1e-9, abs=0)
-        monkeypatch.setattr(analytic, "_ORACLE_HALVINGS", 1)
+        monkeypatch.setattr(analytic, "_HALVINGS", 1)
         with pytest.raises(NumericsError, match="step-halving"):
             op_oracle_2d(cases[0][0], 1)
 
