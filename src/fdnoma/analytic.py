@@ -60,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betainc, gammainc, gammaln, xlogy
 
-from .config import ConfigError, DerivedConstants, SystemConfig, derive_constants, gamma_laws
+from .config import ConfigError, DerivedConstants, SystemConfig, _check_int, derive_constants, gamma_laws
 from .specfun import ordered_cdf, ordered_logpdf
 
 __all__ = [
@@ -117,7 +117,7 @@ class _User(NamedTuple):
 
 def _user_view(dc: DerivedConstants, user: int) -> _User | None:
     """The view of ``user``, or None when a decode stage of it is infeasible."""
-    L = dc.cfg.num_users
+    L, user = dc.cfg.num_users, _check_int("user", user)
     if not 1 <= user <= L:
         raise ValueError(f"user must lie in 1..{L}")
     if not dc.feasible[user - 1]:

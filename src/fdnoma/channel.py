@@ -36,7 +36,7 @@ import functools
 
 import numpy as np
 
-from .config import DerivedConstants, gamma_laws
+from .config import DerivedConstants, _check_int, gamma_laws
 
 __all__ = ["seeded_stream", "draw_batch", "draw_units", "scale_users"]
 
@@ -47,11 +47,12 @@ def seeded_stream(seed: int, substream: int = 0) -> np.random.Generator:
     Identical arguments reproduce identical draw sequences; different
     substreams under the same seed are independent Philox keys.
     """
-    if not 0 <= int(seed) < 2 ** 64:
+    seed, substream = _check_int("seed", seed), _check_int("substream", substream)
+    if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if not 0 <= int(substream) < 2 ** 64:
+    if not 0 <= substream < 2 ** 64:
         raise ValueError("substream must fit in an unsigned 64-bit integer")
-    key = np.array([int(seed), int(substream)], dtype=np.uint64)
+    key = np.array([seed, substream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

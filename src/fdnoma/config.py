@@ -29,6 +29,7 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 import sys
 from dataclasses import asdict, dataclass
 
@@ -72,6 +73,15 @@ def _check_real(name, value):
     if not all(abs(v) <= sys.float_info.max for v in items):  # NaN and inf fail too
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _check_int(name, value) -> int:
+    """``value`` as an ``int``, or ValueError when ``operator.index``
+    refuses it (a float does, even an integral one; NumPy integers pass)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _per_user(value, n, cast, name):

@@ -15,32 +15,30 @@ call serves a whole sweep (every grid point and method) from one stream:
 each block's unit Gamma draws are made once and scaled to every job,
 which gives each job the counts of a separate run, bit for bit.
 
-A call of at most ``CACHED_BLOCKS`` blocks (``2 * BLOCK_TRIALS``
-trials) also keeps its unit draws, read-only, for the next call with the
-same key ``(shapes, include_li, seed, trials)``: the jobs' Gamma shapes,
-whether they draw loop interference, the seed and the trial count fix
-every block, so that call reads the draws instead of making them again
+A call of at most ``CACHED_BLOCKS`` blocks also keeps its unit draws,
+read-only, in a one-entry slot, :func:`_kept_blocks`, keyed by ``(shapes,
+include_li, seed, trials)``: the jobs' Gamma shapes, whether they draw
+loop interference, the seed and the trial count fix every block, so the
+next call on that key reads the draws instead of making them again
 (common random numbers across calls; Asmussen & Glynn, *Stochastic
-Simulation*, 2007, ch. V).  A call with another key, or with more
-blocks, drops the kept draws before it draws.  So the cache holds one
-call's blocks at most; a call of more blocks holds what it held without
-the cache, and a two-block call at one partition ends holding both
-blocks where it held one.  Only repeated calls on one key gain, as a
-loop of estimates at one seed and trial count over configs of the same
+Simulation*, 2007, ch. V).  A call on another key takes the slot, empty,
+before it draws, and a call of more blocks leaves it empty, so one
+call's blocks at most are kept.  Only repeated calls on one key gain, as
+a loop of estimates at one seed and trial count over configs of the same
 fading shapes makes; one CLI run is one call.
-``_block_units.cache_clear()`` empties the cache.
+``_kept_blocks.cache_clear()`` empties the slot.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import draw_units, scale_users, seeded_stream
-from .config import DerivedConstants, SystemConfig, derive_constants, gamma_laws
+from .config import DerivedConstants, SystemConfig, _check_int, derive_constants, gamma_laws
 from .sidnr import outage_mask
 
 __all__ = ["BLOCK_TRIALS", "Job", "OutageEstimate", "estimate", "estimate_all_users"]
@@ -68,43 +66,12 @@ class OutageEstimate:
     partitions: int | None = None
 
 
-_units_lock = threading.Lock()
-_units_held: dict = {}  # {(shapes, include_li, seed, trials): {index: units}}, one key at most
-
-
-def _block_units(shapes, include_li: bool, seed, trials: int, index: int, size: int):
-    """Unit draws of block ``(index, size)`` of a ``trials``-trial call on
-    ``seeded_stream(seed, index)``: read from the cache when held, else
-    drawn.  A call of another key drops the held draws before anything
-    is drawn; a call of at most ``CACHED_BLOCKS`` blocks keeps its
-    draws, read-only, until then."""
-    key = (shapes, include_li, seed, trials)
-    keep = trials <= CACHED_BLOCKS * BLOCK_TRIALS
-    with _units_lock:
-        if key not in _units_held:
-            _units_held.clear()
-            if keep:
-                _units_held[key] = {}
-        units = _units_held.get(key, {}).get(index)
-    if units is None:
-        units = draw_units(shapes, seeded_stream(seed, index), size, include_li)
-        if keep:
-            for u in units:
-                if u is not None:
-                    u.flags.writeable = False
-            with _units_lock:  # another key may have taken over meanwhile
-                if key in _units_held:
-                    _units_held[key][index] = units
-    return units
-
-
-def _units_clear():
-    with _units_lock:
-        _units_held.clear()
-
-
-# bench/workloads.clear_caches calls every module-level cache_clear it finds
-_block_units.cache_clear = _units_clear
+@functools.lru_cache(maxsize=1)
+def _kept_blocks(shapes, include_li: bool, seed: int, trials: int) -> dict:
+    """The slot of the call on this key: ``{index: units}`` of the blocks
+    it keeps, shared with the next call on the same key.  A call on
+    another key replaces it; calls still in flight keep theirs."""
+    return {}
 
 
 def _run_blocks(kernel, trials: int, partitions: int) -> np.ndarray:
@@ -130,7 +97,7 @@ class Job:
     def __post_init__(self):
         num_users = self.dc.cfg.num_users
         users = range(1, num_users + 1) if self.users is None else self.users
-        users = tuple(int(u) for u in users)
+        users = tuple(_check_int("user", u) for u in users)
         if not users:
             raise ValueError("users must not be empty")
         for u in users:
@@ -141,8 +108,9 @@ class Job:
 
 def _estimate(jobs: list[Job], trials, seed, partitions) -> list[list[OutageEstimate]]:
     """Per-job lists of per-user estimates: block ``b`` is drawn once, from
-    ``seeded_stream(seed, b)`` (or read from the unit cache), and scaled
+    ``seeded_stream(seed, b)`` (or read from the slot), and scaled
     to each job's constants."""
+    trials, seed = _check_int("trials", trials), _check_int("seed", seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if partitions < 1:
@@ -155,9 +123,19 @@ def _estimate(jobs: list[Job], trials, seed, partitions) -> list[list[OutageEsti
     for i, (job, (_, scales)) in enumerate(zip(jobs, laws)):
         groups.setdefault((scales[1], job.sort), []).append(i)
 
+    kept = _kept_blocks(shapes, include_li, seed, trials)  # taken once, before any draw
+    keep = trials <= CACHED_BLOCKS * BLOCK_TRIALS
+
     def kernel(block):
         index, size = block
-        units = _block_units(shapes, include_li, seed, trials, index, size)
+        units = kept.get(index)
+        if units is None:
+            units = draw_units(shapes, seeded_stream(seed, index), size, include_li)
+            if keep:
+                for u in units:
+                    if u is not None:
+                        u.flags.writeable = False
+                kept[index] = units
         counts = [np.zeros(len(job.users), dtype=np.int64) for job in jobs]
         for lo in range(0, size, CHUNK_ROWS):  # row chunks bound the scaled copies
             unit_sr, units_ru, unit_li = (u if u is None else u[lo:lo + CHUNK_ROWS] for u in units)

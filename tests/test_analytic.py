@@ -346,6 +346,14 @@ class TestExactVsOracle:
                 route(default_config(**kw), 1)
 
     @pytest.mark.parametrize("route", [op_exact, op_oracle_2d, op_lower_bound, op_asymptotic])
+    def test_user_must_be_an_integer(self, route, ideal_cfg):
+        # a float user is refused, not truncated nor used as an index;
+        # NumPy integers pass
+        with pytest.raises(ValueError, match="integer"):
+            route(ideal_cfg, 2.5)
+        assert route(ideal_cfg, np.int64(2)) == route(ideal_cfg, 2)
+
+    @pytest.mark.parametrize("route", [op_exact, op_oracle_2d, op_lower_bound, op_asymptotic])
     def test_infeasible_user_precedes_statistics_check(self, route):
         # user 3 cannot decode (distortion claims its whole power share):
         # its outage is 1 whatever the other users' statistics

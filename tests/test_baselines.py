@@ -17,7 +17,7 @@ from fdnoma import (
 )
 from fdnoma import montecarlo
 from fdnoma.baselines import hd_job, oma_job
-from fdnoma.montecarlo import Job, _estimate
+from fdnoma.montecarlo import Job, _estimate, _kept_blocks
 
 
 def test_threshold_mappings_roundtrip():
@@ -163,14 +163,21 @@ def test_partition_invariance(ideal_cfg):
 
 
 RUNNERS = {
-    "mc": lambda cfg, **kw: estimate_all_users(cfg, 10, **kw),
-    "hd": lambda cfg, **kw: hd_outage_all(BaselineConfig(base=cfg, mode="hd_noma"), 10, **kw),
-    "oma": lambda cfg, **kw: oma_outage_all(BaselineConfig(base=cfg, mode="fd_oma"), 10, **kw),
+    "mc": lambda cfg, trials=10, **kw: estimate_all_users(cfg, trials, **kw),
+    "hd": lambda cfg, trials=10, **kw: hd_outage_all(BaselineConfig(base=cfg, mode="hd_noma"), trials, **kw),
+    "oma": lambda cfg, trials=10, **kw: oma_outage_all(BaselineConfig(base=cfg, mode="fd_oma"), trials, **kw),
 }
 
 
-@pytest.mark.parametrize("bad", [{"partitions": 0}, {"users": ()}], ids=["partitions0", "no_users"])
+@pytest.mark.parametrize(
+    "bad",
+    [{"partitions": 0}, {"users": ()}, {"users": (1.5,)}, {"trials": 2000.0}, {"seed": 1.9}],
+    ids=["partitions0", "no_users", "float_user", "float_trials", "float_seed"],
+)
 @pytest.mark.parametrize("method", sorted(RUNNERS))
 def test_every_engine_rejects_bad_input(ideal_cfg, method, bad):
+    # refused before anything is drawn or the unit-draw slot is taken;
+    # a float is refused, not truncated
     with pytest.raises(ValueError):
         RUNNERS[method](ideal_cfg, **bad)
+    assert _kept_blocks.cache_info().currsize == 0

@@ -59,6 +59,10 @@ def test_seed_bounds():
         seeded_stream(-1)
     with pytest.raises(ValueError):
         seeded_stream(0, 2 ** 64)
+    with pytest.raises(ValueError, match="integer"):
+        seeded_stream(1.5)
+    with pytest.raises(ValueError, match="integer"):
+        seeded_stream(1, 0.5)
 
 
 def test_substreams_uncorrelated(ideal_cfg):

@@ -7,27 +7,38 @@ import pytest
 
 from fdnoma import default_config, derive_constants, estimate, estimate_all_users, montecarlo, op_exact
 from fdnoma.baselines import hd_job, oma_job
-from fdnoma.montecarlo import BLOCK_TRIALS, CACHED_BLOCKS, Job, _block_units, _estimate
+from fdnoma.config import gamma_laws
+from fdnoma.montecarlo import BLOCK_TRIALS, CACHED_BLOCKS, Job, _estimate, _kept_blocks
 
 
-def _held():
-    """The unit cache's contents: {key: sorted block indices}."""
-    with montecarlo._units_lock:
-        return {key: sorted(blocks) for key, blocks in montecarlo._units_held.items()}
+def _key(cfg, seed, trials):
+    """The slot key of an ``estimate_all_users(cfg, trials, seed)`` call."""
+    shapes, scales = gamma_laws(derive_constants(cfg))
+    return shapes, scales[2] > 0, seed, trials
 
 
-# Each determinism test makes its calls cold (the unit cache emptied, so
-# the blocks are drawn from the stream) and, where the call keeps its
-# draws, warm (read from the cache), and requires the same values.
+def _held(key):
+    """Sorted indices of the blocks the slot keeps, which must be under
+    ``key``: the call on it is then a hit and replaces nothing.  Calls
+    from other threads on the held key are hits too, so a miss is ours."""
+    misses = _kept_blocks.cache_info().misses
+    blocks = sorted(_kept_blocks(*key))
+    assert _kept_blocks.cache_info().misses == misses, "the slot held another key"
+    return blocks
+
+
+# Each determinism test makes its calls cold (the slot emptied, so the
+# blocks are drawn from the stream) and, where the call keeps its draws,
+# warm (read from the slot), and requires the same values.
 
 def test_determinism_across_partition_counts(ideal_cfg):
     # 600,000 trials is three blocks, more than a call keeps; 500,000 is two
     for trials, kept in ((600_000, False), (500_000, True)):
         runs = []
         for p in (1, 4, 16):
-            _block_units.cache_clear()
+            _kept_blocks.cache_clear()
             runs.append(estimate_all_users(ideal_cfg, trials=trials, seed=9, partitions=p))
-            assert bool(_held()) == kept
+            assert bool(_held(_key(ideal_cfg, 9, trials))) == kept
             runs.append(estimate_all_users(ideal_cfg, trials=trials, seed=9, partitions=p))
         for other in runs[1:]:
             for a, b in zip(runs[0], other):
@@ -37,9 +48,9 @@ def test_determinism_across_partition_counts(ideal_cfg):
 
 def test_repeated_run_identical(ideal_cfg):
     a = estimate(ideal_cfg, 2, trials=100_000, seed=3)
-    _block_units.cache_clear()
+    _kept_blocks.cache_clear()
     b = estimate(ideal_cfg, 2, trials=100_000, seed=3)
-    assert any(_held().values())
+    assert _held(_key(ideal_cfg, 3, 100_000))
     c = estimate(ideal_cfg, 2, trials=100_000, seed=3)
     assert a.op_value == b.op_value == c.op_value
 
@@ -48,9 +59,9 @@ def test_single_user_matches_all_users_run(ideal_cfg):
     # same stream layout: identical realizations, not merely 3-sigma close
     alls = estimate_all_users(ideal_cfg, trials=200_000, seed=4)
     for u in (1, 2, 3):
-        _block_units.cache_clear()
+        _kept_blocks.cache_clear()
         single = estimate(ideal_cfg, u, trials=200_000, seed=4)
-        assert any(_held().values())
+        assert _held(_key(ideal_cfg, 4, 200_000))
         warm = estimate(ideal_cfg, u, trials=200_000, seed=4)
         assert single.op_value == warm.op_value == alls[u - 1].op_value
 
@@ -76,7 +87,7 @@ def test_interleaved_streams_match_cold_runs(ideal_cfg):
     }
     cold = {}
     for name, run in runs.items():
-        _block_units.cache_clear()
+        _kept_blocks.cache_clear()
         cold[name] = _counts(*run)
     assert len({str(c) for c in cold.values()}) == len(runs)
     for name in "CABACADAEA":
@@ -89,10 +100,8 @@ def test_trial_sweep_keeps_one_call():
     assert CACHED_BLOCKS == 2
     for trials in (1000, 5000, BLOCK_TRIALS, BLOCK_TRIALS + 1000, 2 * BLOCK_TRIALS, 7000):
         warm = estimate_all_users(cfg, trials, seed=11, partitions=2)
-        ((key, blocks),) = _held().items()
-        assert key[-1] == trials
-        assert blocks == list(range(-(-trials // BLOCK_TRIALS)))
-        _block_units.cache_clear()
+        assert _held(_key(cfg, 11, trials)) == list(range(-(-trials // BLOCK_TRIALS)))
+        _kept_blocks.cache_clear()
         assert estimate_all_users(cfg, trials, seed=11, partitions=2) == warm
 
 
@@ -102,43 +111,44 @@ def test_call_of_more_blocks_keeps_none(ideal_cfg, monkeypatch):
     trials = (CACHED_BLOCKS + 1) * BLOCK_TRIALS
     cold = estimate_all_users(ideal_cfg, trials, seed=1, partitions=2)
     estimate_all_users(ideal_cfg, 2 * BLOCK_TRIALS, seed=1, partitions=2)
-    assert _held()
+    assert _held(_key(ideal_cfg, 1, 2 * BLOCK_TRIALS)) == [0, 1]
     seen = []
     real = montecarlo.draw_units
 
     def recording(shapes, rng, size, include_li):
-        seen.append(_held())
+        seen.append(_held(_key(ideal_cfg, 1, trials)))
         return real(shapes, rng, size, include_li)
 
     monkeypatch.setattr(montecarlo, "draw_units", recording)
     assert estimate_all_users(ideal_cfg, trials, seed=1, partitions=2) == cold
-    assert seen == [{}] * (CACHED_BLOCKS + 1)
-    assert _held() == {}
+    assert seen == [[]] * (CACHED_BLOCKS + 1)
+    assert _held(_key(ideal_cfg, 1, trials)) == []
 
 
 def test_new_stream_dropped_before_drawing(ideal_cfg, monkeypatch):
-    # when a block is drawn, the cache holds its key alone, and none of
+    # when a block is drawn, the slot holds its key alone, and none of
     # the old key's blocks
+    trials = BLOCK_TRIALS + 1000
+    key = [_key(ideal_cfg, 1, trials)]  # the key of the call in flight
     seen = []
     real = montecarlo.draw_units
 
     def recording(shapes, rng, size, include_li):
-        seen.append(_held())
+        seen.append(_held(key[0]))
         return real(shapes, rng, size, include_li)
 
     monkeypatch.setattr(montecarlo, "draw_units", recording)
-    trials = BLOCK_TRIALS + 1000
     estimate_all_users(ideal_cfg, trials, seed=1, partitions=1)
     assert len(seen) == 2
-    (key_a,) = _held()
+    assert _held(key[0]) == [0, 1]
     estimate_all_users(ideal_cfg, trials, seed=1, partitions=1)
-    assert len(seen) == 2  # both blocks read from the cache
+    assert len(seen) == 2  # both blocks read from the slot
     seen.clear()
+    key[0] = _key(ideal_cfg, 2, trials)
     estimate_all_users(ideal_cfg, trials, seed=2, partitions=1)
     assert len(seen) == 2
-    (key_b,) = _held()
-    assert key_b != key_a
-    assert seen == [{key_b: []}, {key_b: [0]}]
+    assert _held(key[0]) == [0, 1]
+    assert seen == [[], [0]]
 
 
 def test_concurrent_streams_match_sequential_runs(ideal_cfg):
@@ -147,7 +157,7 @@ def test_concurrent_streams_match_sequential_runs(ideal_cfg):
     trials, seeds = BLOCK_TRIALS + 20_000, range(1, 7)
     sequential = {}
     for seed in seeds:
-        _block_units.cache_clear()
+        _kept_blocks.cache_clear()
         sequential[seed] = [e.op_value for e in estimate_all_users(ideal_cfg, trials, seed, 2)]
     results, errors = {}, []
 
@@ -170,7 +180,7 @@ def test_concurrent_streams_match_sequential_runs(ideal_cfg):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert results == sequential
-    assert len(_held()) <= 1
+    assert _kept_blocks.cache_info().currsize == 1
 
 
 def test_trials_and_users_validation(ideal_cfg):
