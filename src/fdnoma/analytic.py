@@ -53,6 +53,7 @@ than return a value it cannot back.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -187,6 +188,15 @@ def _grid_sum(phi, nodes, cut, top):
     return _sum(np.concatenate(rows), cut[:1])
 
 
+def _halved(x, h):
+    """The nodes ``x`` with the midpoints x[0] + (2i+1)*h between them: the
+    even nodes of a halved axis are its old nodes, bit for bit."""
+    out = np.empty(2 * len(x) - 1)
+    out[::2] = x
+    out[1::2] = x[0] + h * np.arange(1, 2 * len(x) - 1, 2)
+    return out
+
+
 def _scan_rule(phi, scans, step, name):
     """The integral of exp(phi(w_0, ...)) over one or two log axes by a
     nested trapezoid rule started on the nodes ``scans`` (one scan per
@@ -225,8 +235,7 @@ def _scan_rule(phi, scans, step, name):
             if level == _HALVINGS:
                 raise NumericsError(f"{name} did not converge (step-halving relative error {rel_err:.2e})")
             coarse_sum, h = fine_sum, h / 2
-            # the even nodes of a halved axis are its old nodes, bit for bit
-            nodes = [np.insert(x, range(1, len(x)), x[0] + h * np.arange(1, 2 * len(x) - 1, 2)) for x in nodes]
+            nodes = [_halved(x, h) for x in nodes]
             fresh = sum(_grid_sum(phi, nodes, cut, top) for cut in cuts)
     return math.exp(top) * h ** d * fine_sum
 
@@ -278,6 +287,17 @@ def tail_weight_integral(
 
 # -- the relay kernel and the exact outage -----------------------------------
 
+@functools.cache
+def _nb_log_coeffs(k1: int, k3: int):
+    """j = 0..k1-1 and the log negative-binomial coefficients
+    log C(j + k3 - 1, j) of :func:`_relay_cdf`, both read-only."""
+    j = np.arange(k1)
+    log_coeffs = gammaln(j + k3) - gammaln(k3) - gammaln(j + 1)
+    j.setflags(write=False)
+    log_coeffs.setflags(write=False)
+    return j, log_coeffs
+
+
 def _relay_cdf(k1: int, k3: int, theta, mean):
     """P(g1 < A*(B*z + t5)) averaged over z, for g1 ~ Gamma(k1, s1) and
     z ~ Gamma(k3, s3), with ``theta = A*B*s3/s1`` and ``mean = A*t5/s1``
@@ -290,10 +310,11 @@ def _relay_cdf(k1: int, k3: int, theta, mean):
     positive terms.  The negative-binomial pmf is taken in log space
     through log1p(theta), so 1 - u is never formed.
     """
-    theta, mean = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(mean, dtype=float))
-    j = np.arange(k1).reshape((-1,) + (1,) * theta.ndim)
-    log_nb = (gammaln(j + k3) - gammaln(k3) - gammaln(j + 1)
-              + xlogy(j, theta) - (j + k3) * np.log1p(theta))
+    theta, mean = np.asarray(theta, dtype=float), np.asarray(mean, dtype=float)
+    j, log_coeffs = _nb_log_coeffs(k1, k3)
+    shape = (-1,) + (1,) * max(theta.ndim, mean.ndim)
+    j, log_coeffs = j.reshape(shape), log_coeffs.reshape(shape)
+    log_nb = log_coeffs + xlogy(j, theta) - (j + k3) * np.log1p(theta)
     return (np.exp(log_nb) * gammainc(k1 - j, mean)).sum(axis=0) + betainc(k1, k3, theta / (1.0 + theta))
 
 

@@ -26,6 +26,7 @@ Carlo engines share one :class:`DerivedConstants` instance per
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -64,6 +65,11 @@ def _check_real(name, value):
     range (bools, NaN and the infinities included) or a list of them where
     the key takes one; returns it unchanged.  Nothing is coerced, so the
     config hash of a valid file does not change."""
+    # a plain float or int (not a bool) takes the short way; any other
+    # value, and every refusal, goes through the full check below
+    if (type(value) is float or type(value) is int) and name not in _LIST_KEYS \
+            and abs(value) <= sys.float_info.max:
+        return value
     seq = isinstance(value, (list, tuple, np.ndarray))
     shape_ok = name in _PER_USER_KEYS if seq else name not in _LIST_KEYS
     items = value if seq else [value]
@@ -217,8 +223,9 @@ class DerivedConstants:
     ``gamma_th_j / (snr_lin * margin_j)``, the channel-gain level the
     decode stage requires; it is ``inf`` when the stage is infeasible.
     ``demand_peak[l-1]`` is the running maximum over stages ``j <= l``
-    and drives every outage expression.  Instances are immutable and safe
-    to share across concurrent workers.
+    and drives every outage expression.  Instances are immutable, their
+    array fields read-only (also in a copy made by ``dataclasses.replace``),
+    and safe to share across concurrent workers.
     """
 
     cfg: SystemConfig
@@ -238,41 +245,59 @@ class DerivedConstants:
     demand_peak: np.ndarray
     feasible: np.ndarray     # per user: all stages j <= l have margin > 0
 
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
+def _sum_like_numpy(xs) -> float:
+    """``np.sum(xs)`` of a tuple of floats, bit for bit: NumPy adds fewer
+    than eight values one after another, as the loop does here, and sums
+    longer runs pairwise, which is left to it."""
+    if len(xs) >= 8:
+        return float(np.sum(xs))
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
 
 def derive_constants(cfg: SystemConfig) -> DerivedConstants:
     """Compute every symbol the outage expressions need, once.
 
     Pure and deterministic: identical configurations give identical
-    constants.
+    constants.  Each constant is computed in Python floats by the
+    operations, in the order, of the elementwise array expression it
+    stands for, so it matches that expression bit for bit; the array
+    fields are built at the end and are read-only.
     """
     n = cfg.num_users
     g = cfg.snr_lin
     alpha = cfg.path_loss_exponent
 
     power_sr = cfg.d_sr ** (-alpha)
-    power_ru = np.array([d ** (-alpha) for d in cfg.d_ru])
     power_li = cfg.li_scale_lambda * g ** (cfg.li_quality_mu - 1.0)
     power_sr_est = power_sr - cfg.sigma_e_sr_sq
-    power_ru_est = power_ru - cfg.sigma_e_ru_sq
+    power_ru_est = [d ** (-alpha) - cfg.sigma_e_ru_sq for d in cfg.d_ru]
 
-    a = np.array(cfg.power_coeffs)
-    iui = np.array([a[j + 1:].sum() for j in range(n)])
-    ipsic = np.array([cfg.sigma_ipsic_sq * a[:j].sum() for j in range(n)])
+    a = cfg.power_coeffs
+    iui = [_sum_like_numpy(a[j + 1:]) for j in range(n)]
+    ipsic = [cfg.sigma_ipsic_sq * _sum_like_numpy(a[:j]) for j in range(n)]
 
     ksr2 = cfg.kappa_sr ** 2
     kru2 = cfg.kappa_ru ** 2
     rhi_mix = ksr2 + kru2 * (1.0 + ksr2)
     rhi_amp = (1.0 + kru2) * (1.0 + ksr2)
     sr_derate = 1.0 / (1.0 + ksr2)
-    noise_ru = np.full(n, g * cfg.sigma_e_ru_sq + 1.0 / (1.0 + kru2))
+    noise_ru = g * cfg.sigma_e_ru_sq + 1.0 / (1.0 + kru2)
     noise_sr = g * cfg.sigma_e_sr_sq + 1.0 / (1.0 + ksr2)
 
-    gth = np.array(cfg.thresholds)
-    margin = a - gth * (iui + ipsic + rhi_mix)
-    with np.errstate(divide="ignore"):
-        demand = np.where(margin > 0, gth / (g * np.where(margin > 0, margin, 1.0)), np.inf)
-    demand_peak = np.maximum.accumulate(demand)
-    feasible = np.logical_and.accumulate(margin > 0)
+    gth = cfg.thresholds
+    margin = [a[j] - gth[j] * (iui[j] + ipsic[j] + rhi_mix) for j in range(n)]
+    # g >= 0, so g*m > 0 iff m > 0, save where g*m underflows to 0, and
+    # there the array division gt/0 read inf as well
+    demand = [t / gm if (gm := g * m) > 0 else math.inf for t, m in zip(gth, margin)]
 
     return DerivedConstants(
         cfg=cfg,
@@ -280,17 +305,17 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
         power_sr=power_sr,
         power_li=power_li,
         power_sr_est=power_sr_est,
-        power_ru_est=power_ru_est,
-        iui=iui,
-        ipsic=ipsic,
+        power_ru_est=np.array(power_ru_est),
+        iui=np.array(iui),
+        ipsic=np.array(ipsic),
         rhi_mix=rhi_mix,
-        noise_ru=noise_ru,
+        noise_ru=np.full(n, noise_ru),
         rhi_amp=rhi_amp,
         sr_derate=sr_derate,
         noise_sr=noise_sr,
-        demand=demand,
-        demand_peak=demand_peak,
-        feasible=feasible,
+        demand=np.array(demand),
+        demand_peak=np.array(list(itertools.accumulate(demand, max))),
+        feasible=np.array(list(itertools.accumulate((m > 0 for m in margin), operator.and_))),
     )
 
 

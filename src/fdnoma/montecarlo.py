@@ -111,6 +111,7 @@ def _estimate(jobs: list[Job], trials, seed, partitions) -> list[list[OutageEsti
     ``seeded_stream(seed, b)`` (or read from the slot), and scaled
     to each job's constants."""
     trials, seed = _check_int("trials", trials), _check_int("seed", seed)
+    partitions = _check_int("partitions", partitions)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if partitions < 1:

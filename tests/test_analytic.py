@@ -213,6 +213,36 @@ class TestRelayKernel:
             # no loop interference: the first-hop Gamma CDF
             assert np.array_equal(_relay_cdf(k1, k3, 0.0, mean), special.gammainc(k1, mean))
 
+    def test_one_point_matches_the_array_call(self):
+        # a scalar against an array broadcasts as one point per element,
+        # whichever argument is the array.  Bit for bit up to k1 = 7: from
+        # 8 terms on, NumPy sums a one-point call's 1-D run of terms
+        # pairwise but an array call's columns in order, which moves the
+        # last bits (3 ulp at most, measured); the lower bound's values at
+        # k1 >= 8 keep that order.
+        theta = np.array([0.0, 1e-300, 1e-6, 0.3, 7.0, 1e12])
+        mean = np.array([0.0, 1e-12, 0.02, 1.5, 40.0])
+
+        def check(got, one, k1):
+            if k1 < 8:
+                assert np.array_equal(got, one)
+            else:
+                np.testing.assert_array_max_ulp(got, one, maxulp=4)
+
+        for k1, k3 in itertools.product(range(1, 10), range(1, 4)):
+            for t in (0.3, 7.0):
+                got = _relay_cdf(k1, k3, t, mean)
+                assert got.shape == mean.shape
+                check(got, [_relay_cdf(k1, k3, t, m) for m in mean], k1)
+            for m in (0.02, 1.5):
+                got = _relay_cdf(k1, k3, theta, m)
+                assert got.shape == theta.shape
+                check(got, [_relay_cdf(k1, k3, t, m) for t in theta], k1)
+            grid = _relay_cdf(k1, k3, theta[:, None], mean)
+            assert grid.shape == (len(theta), len(mean))
+            # columns against rows: both sum their terms in order
+            assert np.array_equal(grid.T, [_relay_cdf(k1, k3, theta, m) for m in mean])
+
 
 CROSS_CASES = [
     dict(snr_db=10, kappa_sr=0.14, kappa_ru=0.14),

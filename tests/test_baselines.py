@@ -171,8 +171,8 @@ RUNNERS = {
 
 @pytest.mark.parametrize(
     "bad",
-    [{"partitions": 0}, {"users": ()}, {"users": (1.5,)}, {"trials": 2000.0}, {"seed": 1.9}],
-    ids=["partitions0", "no_users", "float_user", "float_trials", "float_seed"],
+    [{"partitions": 0}, {"partitions": 2.5}, {"users": ()}, {"users": (1.5,)}, {"trials": 2000.0}, {"seed": 1.9}],
+    ids=["partitions0", "float_partitions", "no_users", "float_user", "float_trials", "float_seed"],
 )
 @pytest.mark.parametrize("method", sorted(RUNNERS))
 def test_every_engine_rejects_bad_input(ideal_cfg, method, bad):

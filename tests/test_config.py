@@ -1,5 +1,6 @@
+import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from fdnoma import (
     derive_constants,
     threshold_from_rate,
 )
+from fdnoma.baselines import hd_job, oma_job
 from fdnoma.config import config_from_dict, config_to_dict, load_config
+from test_acceptance import _sample_config
 
 
 def test_zero_impairment_constants(ideal_cfg):
@@ -120,6 +123,92 @@ def test_derive_constants_deterministic(ideal_cfg):
     b = derive_constants(ideal_cfg)
     assert a.demand_peak.tolist() == b.demand_peak.tolist()
     assert a.power_li == b.power_li
+
+
+def _numpy_constants(cfg):
+    """Every field of :class:`DerivedConstants` by the vectorized NumPy
+    formulas that ``derive_constants`` once used: the reference its
+    plain-float derivation must match bit for bit."""
+    n, g, alpha = cfg.num_users, cfg.snr_lin, cfg.path_loss_exponent
+    power_sr = cfg.d_sr ** (-alpha)
+    power_ru = np.array([d ** (-alpha) for d in cfg.d_ru])
+    a, gth = np.array(cfg.power_coeffs), np.array(cfg.thresholds)
+    iui = np.array([a[j + 1:].sum() for j in range(n)])
+    ipsic = np.array([cfg.sigma_ipsic_sq * a[:j].sum() for j in range(n)])
+    ksr2, kru2 = cfg.kappa_sr ** 2, cfg.kappa_ru ** 2
+    rhi_mix = ksr2 + kru2 * (1.0 + ksr2)
+    margin = a - gth * (iui + ipsic + rhi_mix)
+    with np.errstate(divide="ignore"):
+        demand = np.where(margin > 0, gth / (g * np.where(margin > 0, margin, 1.0)), np.inf)
+    return dict(
+        snr_lin=g,
+        power_sr=power_sr,
+        power_li=cfg.li_scale_lambda * g ** (cfg.li_quality_mu - 1.0),
+        power_sr_est=power_sr - cfg.sigma_e_sr_sq,
+        power_ru_est=power_ru - cfg.sigma_e_ru_sq,
+        iui=iui,
+        ipsic=ipsic,
+        rhi_mix=rhi_mix,
+        noise_ru=np.full(n, g * cfg.sigma_e_ru_sq + 1.0 / (1.0 + kru2)),
+        rhi_amp=(1.0 + kru2) * (1.0 + ksr2),
+        sr_derate=1.0 / (1.0 + ksr2),
+        noise_sr=g * cfg.sigma_e_sr_sq + 1.0 / (1.0 + ksr2),
+        demand=demand,
+        demand_peak=np.maximum.accumulate(demand),
+        feasible=np.logical_and.accumulate(margin > 0),
+    )
+
+
+def _ten_users(**kw):
+    """Ten users, so the trailing power sums run past seven terms, where
+    NumPy stops adding in order and sums pairwise."""
+    a = np.arange(10.0, 0.0, -1.0)
+    return default_config(num_users=10, power_coeffs=tuple((a / a.sum()).tolist()),
+                          thresholds=(0.01,) * 10, **kw)
+
+
+def _derivation_cases():
+    family = [
+        default_config(tx_antennas=tx, rx_antennas=rx, m_sr=m_sr, li_quality_mu=mu, snr_db=float(snr))
+        for (tx, rx), m_sr, mu, snr in itertools.product(
+            ((1, 1), (2, 2), (3, 2)), (1, 2), (0.0, 0.2, 0.5), range(0, 81, 10))
+    ]
+    rng = np.random.default_rng(2025)
+    sampled = [replace(_sample_config(rng), snr_db=float(rng.integers(0, 81))) for _ in range(60)]
+    edges = [
+        _ten_users(sigma_ipsic_sq=0.03, kappa_sr=0.1, kappa_ru=0.14, snr_db=20.0),
+        _ten_users(snr_db=-50.0),
+        default_config(thresholds=(1.2, 1.5, 2.0)),  # an infeasible first stage
+        default_config(snr_db=-3235.0),  # SNR times margin underflows to 0: demand inf
+        default_config(kappa_sr=0, kappa_ru=0, sigma_ipsic_sq=0, sigma_e_ru_sq=0),  # int zeros
+    ]
+    return family + sampled + edges
+
+
+def test_derivation_matches_the_numpy_formulas():
+    # bit for bit, dtypes included, on the reference family at 0-80 dB,
+    # acceptance-sampler draws and edge cases
+    cases = _derivation_cases()
+    for cfg in cases:
+        dc = derive_constants(cfg)
+        for name, want in _numpy_constants(cfg).items():
+            got = getattr(dc, name)
+            assert np.asarray(got).dtype == np.asarray(want).dtype, (name, cfg)
+            assert np.array_equal(got, want), (name, got, want, cfg)
+        assert dc.feasible.dtype == bool and dc.demand.dtype == np.float64
+    assert len(cases) == 162 + 60 + 5
+
+
+@pytest.mark.parametrize("build", ["derive_constants", "hd_job", "oma_job"])
+def test_derived_arrays_are_read_only(build):
+    cfg = default_config(kappa_sr=0.1, sigma_e_ru_sq=0.02)
+    dc = {"derive_constants": derive_constants, "hd_job": lambda c: hd_job(c).dc,
+          "oma_job": lambda c: oma_job(c).dc}[build](cfg)
+    arrays = [f.name for f in fields(dc) if isinstance(getattr(dc, f.name), np.ndarray)]
+    assert arrays == ["power_ru_est", "iui", "ipsic", "noise_ru", "demand", "demand_peak", "feasible"]
+    for name in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(dc, name)[0] = 99.0
 
 
 def test_threshold_from_rate():
