@@ -12,9 +12,12 @@ Four routes to the same quantity, used to cross-validate each other:
   J. R. Stat. Soc. 83, 1920).  The body is one integral over
   a = log(y - c) of the ordered density times that kernel, by the
   log-axis rule on a scan at step 0.25 (floor 0.03125).
-* :func:`op_oracle_2d` - the same head and the same a-axis, with z
-  integrated numerically instead: the same rule on the two axes a and
-  b = log z, on a scan at step 0.2 (floor 0.025); the reference oracle.
+* :func:`op_oracle_2d` - the same outage with the order swapped: given
+  z and the first-hop gain g1, the user is in outage when g1 is below a
+  level K set by z, else when y is below a level y* set by both, so the
+  outage is P(g1 <= K) averaged over b = log z plus the ordered CDF at y*
+  averaged over b and r = log((g1 - K)/K), each by the log-axis rule on
+  a scan at step 0.2 (floor 0.025); the reference oracle.
 * :func:`op_lower_bound` - the two-hop SIDNR bounded by the smaller of
   the per-hop ratios: the same kernel at one point, and the head.
 * :func:`op_asymptotic` - high-SNR behavior: diversity order and array
@@ -22,12 +25,14 @@ Four routes to the same quantity, used to cross-validate each other:
   cancellation quality lost) or channel estimation errors floor it, the
   floor is the user view at SNR -> inf, evaluated as an outage.
 
-:func:`op_exact` and :func:`op_oracle_2d` share the head,
-:func:`~fdnoma.specfun.ordered_logpdf`, the a-axis (:func:`_a_axis`) and
-the rule; they differ in the z average, closed form against numeric.
-So the shared parts are judged by references that share no code with
-them (mpmath for the kernel and the order-statistic law, pinned
-deep-tail values), and Monte Carlo is the only fully independent route.
+:func:`op_exact` and :func:`op_oracle_2d` share only the view, the
+ordered CDF and the rule: the oracle reads neither the relay kernel nor
+the ordered density, and no axis of one is an axis of the other.  Its
+term over z alone is the lower bound's first-hop CDF, so it also judges
+the kernel at one point.  The shared parts are judged by references that
+share no code with them (mpmath for the kernel and the order-statistic
+law, pinned deep-tail values), and Monte Carlo is the only fully
+independent route.
 
 All four read one private view of user l's problem (:class:`_User`, from
 :func:`_user_view`): the three Gamma links of
@@ -43,7 +48,7 @@ outage is 1); the closed forms need i.i.d. user gains, so unequal user
 statistics raise :class:`~fdnoma.config.ConfigError`.
 
 Every quadrature, the exact body, :func:`tail_weight_integral` and the
-oracle's two axes, is one nested log-axis trapezoid rule,
+oracle's two terms, is one nested log-axis trapezoid rule,
 :func:`_scan_rule`: it starts on the scan nodes inside a window
 (:func:`_window`) and halves the step, evaluating only the new nodes,
 while it differs from the rule on every other node by more than 1e-12
@@ -318,7 +323,7 @@ def _relay_cdf(k1: int, k3: int, theta, mean):
     return (np.exp(log_nb) * gammainc(k1 - j, mean)).sum(axis=0) + betainc(k1, k3, theta / (1.0 + theta))
 
 
-# Scan steps of the exact body (one axis) and of the oracle (two axes),
+# Scan steps of the exact body and of the oracle's two rules,
 # and how far each scan reaches beyond its data anchors (below the
 # leftmost anchor, above the rightmost one).
 _SCAN_STEP = 0.25
@@ -334,48 +339,34 @@ def _scan(lo, hi, step):
     return lo + step * np.arange(math.ceil((hi - lo) / step))
 
 
-def _a_axis(view: _User, step: float):
-    """The axis a = log(y - c) of the outage body above the floor c, shared
-    by :func:`op_exact` and :func:`op_oracle_2d`: the scan nodes, spaced
-    ``step``, that start its rule and ``rows(a)``, which gives (log
-    weight, log need factor) per node.  The log weight is a + log f(y) for
-    the ordered density f, and g1 < need(y, z) reads
-    g1 / s1 < exp(log need factor) * (t4*z + t5).
+def _op_exact(view: _User | None) -> float:
+    """Exact outage probability of one user view (1 for None): the head
+    P(y <= c) plus the body, the integral over a = log(y - c) of the
+    ordered density times :func:`_relay_cdf`, by :func:`_scan_rule` (step
+    0.25, floor 0.25 / 8 = 0.03125).  At a node the first hop must stay
+    below need(y, z) = s1 * r * (t4*z + t5), r = (y + t2)*t3*D/(s1*(y - c)).
 
     The scan is anchored at the user-gain scale and, far left of it at
     high SNR, at the distance above the floor where need(y, z) at the
     loop-interference scale z = s3 falls to s1 and the first-hop CDF
-    leaves 1.
-    """
+    leaves 1."""
+    if view is None:
+        return 1.0
+    head = ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
     c, t2, s2 = view.c, view.t2, view.s2
     log_need0 = math.log(view.t3 * view.D / view.s1)
+    k1, k3, theta_r, mean_r = view.k1, view.k3, view.t4 * view.s3, view.t5
 
-    def rows(a):
+    def phi(a):
         y = c + np.exp(a)
-        return a + ordered_logpdf(y, view.l, view.L, view.k2, s2), np.log(y + t2) + log_need0 - a
+        r = np.exp(np.log(y + t2) + log_need0 - a)
+        log_w = a + ordered_logpdf(y, view.l, view.L, view.k2, s2)
+        return log_w + np.log(_relay_cdf(k1, k3, r * theta_r, r * mean_r))
 
     left, right = _REACH
     log_s2 = math.log(s2)
     a_turn = math.log((c + t2) * (view.t5 + view.t4 * view.s3)) + log_need0
-    return _scan(min(a_turn, log_s2) - left, log_s2 + right, step), rows
-
-
-def _op_exact(view: _User | None) -> float:
-    """Exact outage probability of one user view (1 for None): the head
-    P(y <= c) plus the body, the integral over a = log(y - c) of the
-    ordered density times :func:`_relay_cdf`, by :func:`_scan_rule` on
-    :func:`_a_axis`'s scan (step 0.25, floor 0.25 / 8 = 0.03125)."""
-    if view is None:
-        return 1.0
-    head = ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
-    a_scan, rows = _a_axis(view, _SCAN_STEP)
-    k1, k3, theta_r, mean_r = view.k1, view.k3, view.t4 * view.s3, view.t5
-
-    def phi(a):
-        log_w, log_need = rows(a)
-        r = np.exp(log_need)
-        return log_w + np.log(_relay_cdf(k1, k3, r * theta_r, r * mean_r))
-
+    a_scan = _scan(min(a_turn, log_s2) - left, log_s2 + right, _SCAN_STEP)
     body = _scan_rule(phi, (a_scan,), _SCAN_STEP, "exact body in a = log(y - c)")
     return float(min(head + body, 1.0))
 
@@ -392,46 +383,53 @@ def op_exact(cfg: SystemConfig, user: int) -> float:
 # -- 2-D log-axis oracle ----------------------------------------------------
 
 def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
-    """Reference outage value by direct 2-D integration on log axes.
+    """Reference outage value by direct integration on log axes, with the
+    order of :func:`op_exact` swapped: the user gain y is averaged last.
 
-    The outage region is the union of {ordered user gain y below its
-    floor c} and, above the floor, {first-hop gain below the level
-    ``need(y, z)`` forced by y and the loop-interference gain z}.  The
-    head P(y <= c) is :func:`~fdnoma.specfun.ordered_cdf`, and the
-    densities of y and z are :func:`~fdnoma.specfun.ordered_logpdf` (z
-    as the single "order statistic" of one gain); the body
-    E[P(g1 < need); y > c] is integrated over a = log(y - c) and
-    b = log z, where its mass just above the floor and its slow
-    power-law flanks become one smooth bump.  The rule is the log-axis
-    trapezoid of :func:`op_exact` on two axes, :func:`_scan_rule`, on a
-    scan at step 0.2 on both axes (floor 0.025), anchored at the gain
-    scales and at the first-hop transition near the floor (the a scan is
-    :func:`_a_axis`).  The z average, which :func:`op_exact` takes in
-    closed form, is numeric here.
+    Given the loop-interference gain z, let K = t3*D*(t4*z + t5).  A
+    first-hop gain g1 <= K is in outage whatever y; above K the outage is
+    y < y* = c + (c + t2)*K / (g1 - K).  So P_out = E_z[P(g1 <= K)] +
+    E[F_y(y*); g1 > K], with F_y :func:`~fdnoma.specfun.ordered_cdf`.  The
+    first term is one rule over b = log z; the second is one rule over
+    (r, b) with r = log((g1 - K)/K), where y* = c + (c + t2)*e^-r depends
+    on r alone.  Both read only the ordered CDF, the first-hop Gamma CDF
+    and Gamma log densities, so neither the closed-form kernel nor the
+    ordered density is shared with :func:`op_exact`.  Both rules are
+    :func:`_scan_rule` on scans at step 0.2 (floor 0.025): b anchored at
+    the loop-interference scale, r at the user-gain scale
+    log((c + t2)/s2) and the first-hop scale log(s1/(t3*D*t5)).
     """
     view = _user_view(derive_constants(cfg), user)
     if view is None:
         return 1.0
-    k1, k3, scale3, t4, t5 = view.k1, view.k3, view.s3, view.t4, view.t5
-    head = ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
+    k1, k3, s3, c, t2 = view.k1, view.k3, view.s3, view.c, view.t2
+    q_z, q_0 = view.t3 * view.D * view.t4 / view.s1, view.t3 * view.D * view.t5 / view.s1  # K/s1 = q_z*z + q_0
 
-    # The integrand factors into a row part in a = log(y - c), a column
-    # part in b = log z and P(g1 < need); need / s1 is the product of
-    # a row and a column factor.  Each part is (log weight, log need factor).
-    step = _ORACLE_SCAN_STEP
-    a_scan, rows = _a_axis(view, step)
+    def col(b):
+        """(log of z times its Gamma density, K/s1) at b = log z."""
+        return k3 * (b - math.log(s3)) - np.exp(b) / s3 - math.lgamma(k3), q_z * np.exp(b) + q_0
 
-    def phi(a, b):
-        """log of the body's integrand on the grid a by b."""
-        (w_row, n_row), z = rows(a), np.exp(b)
-        w_col, n_col = b + ordered_logpdf(z, 1, 1, k3, scale3), np.log(z * t4 + t5)
-        return w_row[:, None] + w_col + np.log(gammainc(k1, np.exp(n_row[:, None] + n_col)))
+    def phi_relay(b):
+        log_w, q = col(b)
+        return log_w + np.log(gammainc(k1, q))
 
-    # The b scan is anchored at the loop-interference scale.
-    left, right = _REACH
-    b_scan = _scan(math.log(scale3) - left, math.log(scale3) + right, step)
-    body = _scan_rule(phi, (a_scan, b_scan), step, "oracle body in (a, b) = (log(y - c), log z)")
-    return float(min(head + body, 1.0))
+    def phi_user(r, b):
+        """log of the integrand of E[F_y(y*); g1 > K] on the grid r by b:
+        F_y(y*) times the Gamma density of g1 = K*(1 + e^r) times
+        dg1/dr = K*e^r, as a row part, a column part and -(K/s1)*e^r."""
+        log_w, q = col(b)
+        e_r = np.exp(r)
+        f_y = ordered_cdf(c + (c + t2) / e_r, view.l, view.L, view.k2, view.s2)
+        row = r + (k1 - 1) * np.logaddexp(0.0, r) + np.log(f_y)
+        return row[:, None] + (log_w + k1 * np.log(q) - q - math.lgamma(k1)) - e_r[:, None] * q
+
+    step, (left, right) = _ORACLE_SCAN_STEP, _REACH
+    b_scan = _scan(math.log(s3) - left, math.log(s3) + right, step)
+    r_user, r_relay = math.log((c + t2) / view.s2), -math.log(q_0)
+    r_scan = _scan(min(r_user, r_relay) - left, max(r_user, r_relay) + right, step)
+    relay = _scan_rule(phi_relay, (b_scan,), step, "oracle relay term in b = log z")
+    rest = _scan_rule(phi_user, (r_scan, b_scan), step, "oracle user term in (r, b) = (log((g1 - K)/K), log z)")
+    return float(min(relay + rest, 1.0))
 
 
 # -- closed-form lower bound ------------------------------------------------

@@ -21,10 +21,10 @@ thresholds are the config's optional keys ``hd_thresholds`` and
   one-user configuration (power coefficient 1, so no interference and no
   SIC; threshold ``oma_threshold``), with the loop-interference term
   kept.  The threshold defaults to the rate-sum equivalent
-  ``prod(1 + thr_l) - 1``.  The mask reads the same one-user noise, peak
-  demand and feasibility for every user, so the job is the base system
-  with those three replaced; each user's own ``m_ru`` and ``d_ru`` enter
-  only through the draw scales of the base system.  Each user keeps its
+  ``prod(1 + thr_l) - 1``.  The mask reads the same one-user peak demand
+  and feasibility for every user, so the job is the base system with
+  those two replaced; each user's own ``m_ru`` and ``d_ru`` enter only
+  through the draw scales of the base system.  Each user keeps its
   own, unordered channel (an unsorted job): orthogonal access has no
   ordering-based power allocation, so the multiuser-diversity boost of
   the ordered gains belongs to the NOMA side only.
@@ -98,17 +98,17 @@ def hd_job(base: SystemConfig, users=None) -> Job:
 
 def oma_job(base: SystemConfig, users=None) -> Job:
     """The full-duplex OMA system as a Monte Carlo job: the base system with
-    every user's noise, peak demand and feasibility those of the one-user
-    system at ``oma_threshold`` (by default the rate sum of the base
-    thresholds), its user gains unsorted."""
+    every user's peak demand and feasibility those of the one-user system
+    at ``oma_threshold`` (by default the rate sum of the base thresholds),
+    its user gains unsorted."""
     thr = base.oma_threshold or oma_threshold_rate_sum(base.thresholds)
     solo = derive_constants(replace(
         base, num_users=1, power_coeffs=(1.0,), thresholds=(thr,),
         m_ru=base.m_ru[:1], d_ru=base.d_ru[:1], hd_thresholds=None, oma_threshold=None,
     ))
     L = base.num_users
-    dc = replace(derive_constants(base), noise_ru=np.repeat(solo.noise_ru, L),
-                 demand_peak=np.repeat(solo.demand_peak, L), feasible=np.repeat(solo.feasible, L))
+    dc = replace(derive_constants(base), demand_peak=np.repeat(solo.demand_peak, L),
+                 feasible=np.repeat(solo.feasible, L))
     return Job(dc, users, "oma", sort=False)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analytic import NumericsError, _op_asymptotic, _op_exact, _op_lower_bound, _user_view, op_asymptotic
+from .analytic import NumericsError, _op_asymptotic, _op_exact, _op_lower_bound, _user_view
 from .baselines import hd_job, oma_job
 from .config import ConfigError, SystemConfig, config_hash, derive_constants, load_config
 from .montecarlo import Job, _estimate
@@ -100,7 +100,7 @@ def _apply_variable(cfg: SystemConfig, variable: str, value: float) -> SystemCon
     return replace(cfg, d_sr=float(value), d_ru=1.0 - float(value))
 
 
-def _analytic_cells(dc, spec, asymp_reports) -> dict:
+def _analytic_cells(dc, spec) -> dict:
     """One grid point's analytic values and feasibility flags, by CSV column,
     from its constants ``dc``; only analytic methods build views (per-user fading has none)."""
     cells = {f"user{u}_feasible": int(dc.feasible[u - 1]) for u in spec.users}
@@ -113,8 +113,7 @@ def _analytic_cells(dc, spec, asymp_reports) -> dict:
         if "lb" in spec.methods:
             cells[f"user{u}_lb"] = _op_lower_bound(view)
         if "asymp" in spec.methods:
-            report = asymp_reports[u] if asymp_reports else _op_asymptotic(view, u)
-            cells[f"user{u}_asymp"] = report.probability(dc.snr_lin)
+            cells[f"user{u}_asymp"] = _op_asymptotic(view, u).probability(dc.snr_lin)
     return cells
 
 
@@ -144,13 +143,7 @@ def _sweep(cfg: SystemConfig, spec: SweepSpec, out_path) -> None:
     }
     jobs = [(i, builders[m](dc)) for i, dc in enumerate(points) for m in spec.methods if m in builders]
 
-    # The asymptotic report is SNR-free, so along an SNR sweep one report
-    # per user serves every grid point.
-    asymp_reports = None
-    if "asymp" in spec.methods and spec.variable == "snr_db":
-        asymp_reports = {u: op_asymptotic(cfg, u) for u in spec.users}
-
-    all_cells = [_analytic_cells(dc, spec, asymp_reports) for dc in points]
+    all_cells = [_analytic_cells(dc, spec) for dc in points]
     if "exact" in spec.methods and "lb" in spec.methods:
         for v, cells in zip(values, all_cells):
             for u in spec.users:

@@ -161,9 +161,9 @@ class TestTailIntegral:
             tail_weight_integral(**args)
 
 
-def _grid_nodes(a, b):
-    """The nodes (a_i, b_j) of the grid a by b, rows first."""
-    return np.stack(np.meshgrid(a, b, indexing="ij"), axis=-1).reshape(-1, 2)
+def _grid_nodes(*axes):
+    """The nodes of the grid of ``axes`` (one or two), rows first."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 class TestTwoAxisRule:
@@ -285,41 +285,85 @@ class TestExactVsOracle:
         # the rule starts on the scan's own nodes and adds only midpoints:
         # a point that halves once evaluates at most twice the scan's nodes
         cfg = default_config(tx_antennas=2, rx_antennas=2, li_quality_mu=0.2, snr_db=40.0)
-        scan = analytic._a_axis(analytic._user_view(derive_constants(cfg), 2), analytic._SCAN_STEP)[0]
-        nodes = []
-        kernel = analytic._relay_cdf
+        scans, nodes = [], []
+        rule, kernel = analytic._scan_rule, analytic._relay_cdf
+        monkeypatch.setattr(analytic, "_scan_rule",
+                            lambda phi, axes, step, name: scans.append(axes) or rule(phi, axes, step, name))
         monkeypatch.setattr(analytic, "_relay_cdf",
                             lambda k1, k3, theta, mean: nodes.append(np.size(theta)) or kernel(k1, k3, theta, mean))
         op_exact(cfg, 2)
+        ((scan,),) = scans
         assert nodes[0] == len(scan)
         assert len(nodes) == 2  # the scan, then one level of midpoints
         assert sum(nodes) <= 2 * len(scan)
 
     def test_oracle_evaluates_no_node_twice(self, monkeypatch):
-        # the two-axis twin: the rule starts on the scan grid, and each
-        # halving adds only nodes new to the halved grid, so the nodes on
-        # the final grid are evaluated once each and no node twice
+        # the oracle's two rules, over b = log z and over (r, b), share one
+        # b scan; each starts on its scan grid, and each halving adds only
+        # nodes new to the halved grid, so the nodes on the final grid are
+        # evaluated once each and no node twice
         cfg = default_config(li_quality_mu=0.2, snr_db=30.0)
-        scans, calls = [], []
+        calls = []
         rule = analytic._scan_rule
 
         def recording(phi, axes, step, name):
-            scans.append(axes)
-            return rule(lambda a, b: calls.append(_grid_nodes(a, b)) or phi(a, b), axes, step, name)
+            evaluated = []
+            calls.append((axes, evaluated))
+            return rule(lambda *x: evaluated.append(_grid_nodes(*x)) or phi(*x), axes, step, name)
 
         monkeypatch.setattr(analytic, "_scan_rule", recording)
         op_oracle_2d(cfg, 1)
-        ((a_scan, b_scan),) = scans
-        nodes = np.concatenate(calls)
-        n_scan = len(a_scan) * len(b_scan)
-        assert np.array_equal(nodes[:n_scan], _grid_nodes(a_scan, b_scan))
-        assert len({tuple(p) for p in nodes.tolist()}) == len(nodes)
-        fresh = nodes[n_scan:]
-        assert len(fresh) > 0  # the point halves
-        a, b = np.unique(fresh[:, 0]), np.unique(fresh[:, 1])
-        on_grid = np.isin(nodes[:, 0], a) & np.isin(nodes[:, 1], b)
-        assert on_grid[n_scan:].all()
-        assert on_grid.sum() == len(a) * len(b)
+        ((b_scan,), _), ((_, b_scan_2d), _) = calls
+        assert b_scan is b_scan_2d
+        for axes, evaluated in calls:
+            nodes = np.concatenate(evaluated)
+            n_scan = math.prod(map(len, axes))
+            assert np.array_equal(nodes[:n_scan], _grid_nodes(*axes))
+            assert len({tuple(p) for p in nodes.tolist()}) == len(nodes)
+            fresh = nodes[n_scan:]
+            assert len(fresh) > 0  # the point halves
+            kept = [np.unique(fresh[:, k]) for k in range(len(axes))]
+            on_grid = np.all([np.isin(nodes[:, k], x) for k, x in enumerate(kept)], axis=0)
+            assert on_grid[n_scan:].all()
+            assert on_grid.sum() == math.prod(map(len, kept))
+
+    def test_oracle_reads_neither_the_kernel_nor_the_ordered_density(self, monkeypatch):
+        # the oracle is an independent judge of op_exact: with the relay
+        # kernel, its one-point form and the ordered density all broken,
+        # it returns the same values
+        cases = [(default_config(**kw), u) for kw in CROSS_CASES for u in (1, 2, 3)]
+        want = [op_oracle_2d(cfg, u) for cfg, u in cases]
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle read a part of op_exact")
+
+        for name in ("_relay_cdf", "_relay_ratio_cdf", "ordered_logpdf"):
+            monkeypatch.setattr(analytic, name, broken)
+        assert [op_oracle_2d(cfg, u) for cfg, u in cases] == want
+
+    def test_oracle_relay_term_is_the_one_point_kernel(self, monkeypatch):
+        # the oracle's 1-D term E_z[P(g1 <= K)] is the lower bound's F_W,
+        # the closed-form kernel at one point, by a rule that shares no
+        # code with it
+        rule, relay_terms = analytic._scan_rule, []
+
+        def recording(phi, axes, step, name):
+            value = rule(phi, axes, step, name)
+            if len(axes) == 1:
+                relay_terms.append(value)
+            return value
+
+        monkeypatch.setattr(analytic, "_scan_rule", recording)
+        grid = itertools.product(((1, 1), (2, 2), (3, 2)), (1, 2), (0.0, 0.2, 0.5), (0.0, 40.0, 80.0))
+        for (tx, rx), m_sr, mu, snr in grid:
+            cfg = default_config(tx_antennas=tx, rx_antennas=rx, m_sr=m_sr, li_quality_mu=mu, snr_db=snr)
+            dc = derive_constants(cfg)
+            for u in (1, 2, 3):
+                relay_terms.clear()
+                op_oracle_2d(cfg, u)
+                f_w = analytic._relay_ratio_cdf(analytic._user_view(dc, u))
+                (term,) = relay_terms
+                assert term == pytest.approx(f_w, rel=1e-12, abs=0), (tx, rx, m_sr, mu, snr, u)
 
     def test_odd_window_widened_past_the_scan_raises(self):
         # a window of three intervals ending at the last scan node cannot

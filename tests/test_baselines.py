@@ -42,6 +42,10 @@ def test_baseline_defaults_and_validation(ideal_cfg):
         oma_job(c)
         for c in (ideal_cfg, replace(ideal_cfg, oma_threshold=13.25))
     )
+    # the user noise reads no per-user field: the base system's is the one-user system's
+    solo = derive_constants(replace(ideal_cfg, num_users=1, power_coeffs=(1.0,), thresholds=(13.25,),
+                                    m_ru=ideal_cfg.m_ru[:1], d_ru=ideal_cfg.d_ru[:1]))
+    assert np.array_equal(default.dc.noise_ru, np.repeat(solo.noise_ru, ideal_cfg.num_users))
     a, b = _estimate([default, explicit], 50_000, 4, 1)
     assert [e.op_value for e in a] == [e.op_value for e in b]
     assert 0.0 < a[0].op_value < 1.0
