@@ -21,13 +21,20 @@ statement of the link shapes and scales, and :func:`scale_users`).  As
 ``Generator.gamma(k, s)`` is ``s * standard_gamma(k)`` bit for bit, every
 configuration with the same shapes can share one block's unit draws.
 
-Streams are counter-based (Philox) and keyed by ``(seed, substream)``:
-the same key always reproduces the same draws, and distinct substreams
-are statistically independent, so trial blocks can run in any order or
-in parallel with identical aggregate results.  Constants that carry no
-loop interference (``power_li = 0``, the half-duplex system) skip the
-loop-interference block: the stream stops after the user blocks and the
-loop-interference gain is the scalar 0.0.
+Draws are laid out in columns: column 0 is the first hop, column 1 loop
+interference and column ``2 + i`` user ``i``, whatever the number of
+users (:func:`unit_columns`).  :func:`draw_units` draws column ``c`` at
+Gamma shape ``k`` from ``stream(c, k)``.  The Monte Carlo engine gives
+each (block, column, shape) its own stream, :func:`seeded_stream` of
+``(seed, block, column, shape)``: an SFC64 generator seeded by a
+``SeedSequence`` with that spawn key.  The same key always reproduces the
+same draws and distinct keys are statistically independent, so blocks
+run in any order or in parallel with identical results, and a column's
+draws do not depend on which other columns or configurations share the
+block.  :func:`draw_batch` draws every column from one generator in the
+order first hop, users, loop interference.  Constants that carry no loop
+interference (``power_li = 0``, the half-duplex system) skip its column:
+the loop-interference gain is the scalar 0.0.
 """
 
 from __future__ import annotations
@@ -38,35 +45,42 @@ import numpy as np
 
 from .config import DerivedConstants, _check_int, gamma_laws
 
-__all__ = ["seeded_stream", "draw_batch", "draw_units", "scale_users"]
+__all__ = ["seeded_stream", "draw_batch", "draw_units", "scale_users", "unit_columns"]
 
 
-def seeded_stream(seed: int, substream: int = 0) -> np.random.Generator:
-    """Deterministic, disjoint random stream for ``(seed, substream)``.
+def seeded_stream(seed: int, *key: int) -> np.random.Generator:
+    """Deterministic random stream for ``(seed, *key)``: an SFC64 generator
+    seeded by ``SeedSequence(seed, spawn_key=key)``.
 
-    Identical arguments reproduce identical draw sequences; different
-    substreams under the same seed are independent Philox keys.
+    Identical arguments reproduce identical draw sequences; different keys
+    under one seed give independent streams.
     """
-    seed, substream = _check_int("seed", seed), _check_int("substream", substream)
+    seed = _check_int("seed", seed)
+    key = tuple(_check_int("substream", k) for k in key)
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if not 0 <= substream < 2 ** 64:
+    if not all(0 <= k < 2 ** 64 for k in key):
         raise ValueError("substream must fit in an unsigned 64-bit integer")
-    key = np.array([seed, substream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def draw_units(shapes, rng: np.random.Generator, size: int, include_li: bool):
-    """One block's unit-scale variates (first hop, users[size, L], loop
-    interference or, without ``include_li``, None), in the stream layout
-    contract order.  The user block is column-major: user ``i``'s draws
-    fill one contiguous column, the ``i``-th ``standard_gamma`` call."""
+def unit_columns(shapes, include_li: bool) -> tuple[tuple[int, int], ...]:
+    """The ``(column, shape)`` pairs of one configuration's draws, in the
+    stream layout contract order: the first hop (column 0), each user
+    ``i`` (column ``2 + i``), then, with ``include_li``, loop
+    interference (column 1)."""
     k1, k2, k3 = shapes
-    unit_sr = rng.standard_gamma(k1, size)
-    units_ru = np.empty((len(k2), size))
-    for k, row in zip(k2, units_ru):
-        rng.standard_gamma(k, size, out=row)
-    return unit_sr, units_ru.T, (rng.standard_gamma(k3, size) if include_li else None)
+    return ((0, k1), *((2 + i, k) for i, k in enumerate(k2)), *([(1, k3)] if include_li else []))
+
+
+def draw_units(columns, stream, size: int) -> dict:
+    """Unit-scale variates ``{(column, shape): draws[size]}``, one
+    ``stream(column, shape).standard_gamma(shape, size)`` call per pair of
+    ``columns``, in their order, each filling one row of a single buffer."""
+    units = np.empty((len(columns), size))
+    for (c, k), row in zip(columns, units):
+        stream(c, k).standard_gamma(k, size, out=row)
+    return dict(zip(columns, units))
 
 
 @functools.cache
@@ -88,12 +102,16 @@ def _merge_network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def scale_users(units_ru: np.ndarray, scales, sort: bool = True) -> np.ndarray:
-    """User gains: unit variates scaled per column into a column-major
-    array, then ordered per row by a compare-exchange network on whole
-    columns.  Each comparator only selects values, so for finite gains
-    the result equals a row sort (``np.sort`` along axis 1) bit for bit."""
-    gains_ru = np.multiply(units_ru, scales, order="F")
+def scale_users(units_ru, scales, sort: bool = True) -> np.ndarray:
+    """User gains: each user's unit variates (``units_ru``, one 1-D column
+    per user, such as the transpose of a ``(size, L)`` array) scaled into
+    one column of a column-major array, then ordered per row by a
+    compare-exchange network on whole columns.  Each comparator only
+    selects values, so for finite gains the result equals a row sort
+    (``np.sort`` along axis 1) bit for bit."""
+    gains_ru = np.empty((len(units_ru[0]), len(units_ru)), order="F")
+    for unit, scale, col in zip(units_ru, scales, gains_ru.T):
+        np.multiply(unit, scale, out=col)
     if sort:
         cols, low = gains_ru.T, np.empty(len(gains_ru))
         for i, j in _merge_network(len(cols)):
@@ -107,11 +125,13 @@ def draw_batch(dc: DerivedConstants, rng: np.random.Generator, size: int):
     """Vectorized draws: (gain_sr[size], gains_ru[size, L], gain_li), with
     ``gains_ru`` column-major and each row in ascending order.
 
-    Stream layout contract (fixed so results are reproducible): the
-    first-hop block, then one block per user in user order, then the
-    loop-interference block, which is skipped (and 0.0 returned in its
-    place) when ``dc`` carries no loop-interference power.
+    Every column comes from ``rng``, in the stream layout contract order
+    of :func:`unit_columns`: the first-hop block, then one block per user
+    in user order, then the loop-interference block, which is skipped
+    (and 0.0 returned in its place) when ``dc`` carries no
+    loop-interference power.
     """
     shapes, (s1, s2, s3) = gamma_laws(dc)
-    unit_sr, units_ru, unit_li = draw_units(shapes, rng, size, s3 > 0)
-    return s1 * unit_sr, scale_users(units_ru, s2), (s3 * unit_li if s3 > 0 else 0.0)
+    units = list(draw_units(unit_columns(shapes, s3 > 0), lambda c, k: rng, size).values())
+    gains_ru = scale_users(units[1:1 + len(s2)], s2)
+    return s1 * units[0], gains_ru, (s3 * units[-1] if s3 > 0 else 0.0)

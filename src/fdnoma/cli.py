@@ -2,10 +2,11 @@
 
 A sweep evaluates the requested outage methods over an inclusive grid of
 one swept variable and writes one self-describing CSV: a commented
-metadata preamble (tool, numpy and scipy versions, config hash, seed),
-then one row per grid point with one column per (user, method), Monte
-Carlo standard error columns and a per-user feasibility flag.  Re-running
-the same invocation reproduces the file byte for byte.
+metadata preamble (tool, numpy and scipy versions, the Monte Carlo
+stream, config hash, seed), then one row per grid point with one column
+per (user, method), Monte Carlo standard error columns and a per-user
+feasibility flag.  Re-running the same invocation reproduces the file
+byte for byte.
 
 Exit codes: 0 success, 1 configuration or usage error (an ``--out`` that
 cannot be written included), 2 numeric failure, 3 invariant violation
@@ -123,8 +124,8 @@ def run_sweep(config_path, spec: SweepSpec, out_path) -> None:
 
     Monte Carlo jobs are built (and validated) first, then the analytic
     cells, so a numeric failure ends the sweep before any Monte Carlo
-    time is spent.  One engine call runs every job, drawing each block
-    once for the sweep.
+    time is spent.  One engine call runs every job, drawing each (block,
+    column, shape) once for the sweep.
     """
     _sweep(load_config(config_path), spec, out_path)
 
@@ -164,7 +165,8 @@ def _sweep(cfg: SystemConfig, spec: SweepSpec, out_path) -> None:
 
     meta = {
         "tool": f"fdnoma {__version__}",
-        "numpy": np.__version__,  # the Philox and Gamma streams depend on it
+        "numpy": np.__version__,  # its SFC64 and Gamma samplers fix the Monte Carlo draws
+        "stream": "SFC64, SeedSequence(seed, spawn_key=(block, column, shape))",
         "scipy": scipy.__version__,
         "config_hash": config_hash(cfg),
         "sweep": f"{spec.variable}={spec.start:g}:{spec.stop:g}:{spec.step:g}",

@@ -1,31 +1,34 @@
 """Stochastic outage estimation with deterministic parallel partitioning.
 
-Trials are split into fixed-size blocks; block ``b`` draws from the
-substream ``(seed, b)``, and per-user outage counts are integers summed
-over blocks.  The block size is a constant of the estimator, so the
-aggregate counts depend only on ``(seed, trials)``: the ``partitions``
-argument controls scheduling concurrency and can never change a result.
+Trials are split into fixed-size blocks, and per-user outage counts are
+integers summed over blocks.  In block ``b`` the unit Gamma draws of
+column ``c`` (the first hop, loop interference or one user; see
+:func:`~fdnoma.channel.unit_columns`) at shape ``k`` come from their own
+stream, ``seeded_stream(seed, b, c, k)``.  The block size is a constant
+of the estimator, so the aggregate counts depend only on ``(seed,
+trials)``: the ``partitions`` argument controls scheduling concurrency
+and can never change a result.
 
 One private engine, :func:`_estimate`, runs every Monte Carlo figure:
 the full-duplex NOMA system here and both comparison systems in
 :mod:`fdnoma.baselines`, which differ only in the derived constants and
 the user-gain ordering of their :class:`Job`; every job marks outages
 by :func:`~fdnoma.sidnr.outage_mask`, one comparison per user.  One
-call serves a whole sweep (every grid point and method) from one stream:
-each block's unit Gamma draws are made once and scaled to every job,
-which gives each job the counts of a separate run, bit for bit.
+call serves a whole sweep (every grid point and method, whatever their
+fading shapes): each block draws every (column, shape) that some job
+needs once and scales it to every job that reads it.  A job reads only
+its own columns, so it gets the counts of a separate run, bit for bit.
 
 A call of at most ``CACHED_BLOCKS`` blocks also keeps its unit draws,
-read-only, in a one-entry slot, :func:`_kept_blocks`, keyed by ``(shapes,
-include_li, seed, trials)``: the jobs' Gamma shapes, whether they draw
-loop interference, the seed and the trial count fix every block, so the
-next call on that key reads the draws instead of making them again
-(common random numbers across calls; Asmussen & Glynn, *Stochastic
-Simulation*, 2007, ch. V).  A call on another key takes the slot, empty,
-before it draws, and a call of more blocks leaves it empty, so one
-call's blocks at most are kept.  Only repeated calls on one key gain, as
-a loop of estimates at one seed and trial count over configs of the same
-fading shapes makes; one CLI run is one call.
+read-only, in a one-entry slot, :func:`_kept_blocks`, keyed by the
+call's ``(column, shape)`` set, the seed and the trial count, which fix
+every block, so the next call on that key reads the draws instead of
+making them again (common random numbers across calls; Asmussen &
+Glynn, *Stochastic Simulation*, 2007, ch. V).  A call on another key
+takes the slot, empty, before it draws, and a call of more blocks leaves
+it empty, so one call's blocks at most are kept.  Only repeated calls on
+one key gain, as a loop of estimates at one seed and trial count over
+configs of the same fading shapes makes; one CLI run is one call.
 ``_kept_blocks.cache_clear()`` empties the slot.
 """
 
@@ -37,13 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import draw_units, scale_users, seeded_stream
+from .channel import draw_units, scale_users, seeded_stream, unit_columns
 from .config import DerivedConstants, SystemConfig, _check_int, derive_constants, gamma_laws
 from .sidnr import outage_mask
 
 __all__ = ["BLOCK_TRIALS", "Job", "OutageEstimate", "estimate", "estimate_all_users"]
 
-BLOCK_TRIALS = 1 << 18  # trials per substream block; fixed by contract
+BLOCK_TRIALS = 1 << 18  # trials per block; fixed by contract
 CHUNK_ROWS = 1 << 15  # rows scaled and masked at a time; results do not depend on it
 CACHED_BLOCKS = 2  # a call of at most this many blocks keeps them for the next call
 
@@ -67,10 +70,10 @@ class OutageEstimate:
 
 
 @functools.lru_cache(maxsize=1)
-def _kept_blocks(shapes, include_li: bool, seed: int, trials: int) -> dict:
-    """The slot of the call on this key: ``{index: units}`` of the blocks
-    it keeps, shared with the next call on the same key.  A call on
-    another key replaces it; calls still in flight keep theirs."""
+def _kept_blocks(columns, seed: int, trials: int) -> dict:
+    """The slot of the call on this key: ``{index: [units per chunk]}`` of
+    the blocks it keeps, shared with the next call on the same key.  A
+    call on another key replaces it; calls still in flight keep theirs."""
     return {}
 
 
@@ -107,45 +110,53 @@ class Job:
 
 
 def _estimate(jobs: list[Job], trials, seed, partitions) -> list[list[OutageEstimate]]:
-    """Per-job lists of per-user estimates: block ``b`` is drawn once, from
-    ``seeded_stream(seed, b)`` (or read from the slot), and scaled
-    to each job's constants."""
+    """Per-job lists of per-user estimates: in block ``b`` each (column,
+    shape) that some job needs is drawn once, from ``seeded_stream(seed,
+    b, column, shape)`` (or read from the slot), and scaled to each job's
+    constants."""
     trials, seed = _check_int("trials", trials), _check_int("seed", seed)
     partitions = _check_int("partitions", partitions)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if partitions < 1:
         raise ValueError("partitions must be >= 1")
+    if not jobs:
+        raise ValueError("jobs must not be empty")
     laws = [gamma_laws(job.dc) for job in jobs]
-    if len({shape for shape, _ in laws}) != 1:
-        raise ValueError(f"jobs must share one set of fading shapes, got {[s for s, _ in laws]}")
-    shapes, include_li = laws[0][0], any(scales[2] > 0 for _, scales in laws)
-    groups = {}  # jobs whose user gains scale and sort alike share one gain matrix
-    for i, (job, (_, scales)) in enumerate(zip(jobs, laws)):
-        groups.setdefault((scales[1], job.sort), []).append(i)
+    columns = [unit_columns(shapes, scales[2] > 0) for shapes, scales in laws]
+    needed = tuple(sorted({pair for cols in columns for pair in cols}))
+    groups = {}  # jobs whose user gains draw, scale and sort alike share one gain matrix
+    for i, (job, cols, (_, scales)) in enumerate(zip(jobs, columns, laws)):
+        groups.setdefault((cols[1:1 + len(scales[1])], scales[1], job.sort), []).append(i)
 
-    kept = _kept_blocks(shapes, include_li, seed, trials)  # taken once, before any draw
+    kept = _kept_blocks(needed, seed, trials)  # taken once, before any draw
     keep = trials <= CACHED_BLOCKS * BLOCK_TRIALS
 
     def kernel(block):
         index, size = block
-        units = kept.get(index)
-        if units is None:
-            units = draw_units(shapes, seeded_stream(seed, index), size, include_li)
+        pieces = kept.get(index)
+        if pieces is None:
+            # a kept block is held whole, so it is drawn whole; any other is
+            # drawn CHUNK_ROWS rows at a time, which bounds the draws in flight
+            rows = size if keep else CHUNK_ROWS
+            streams = {pair: seeded_stream(seed, index, *pair) for pair in needed}
+            pieces = (draw_units(needed, lambda c, k: streams[c, k], min(rows, size - lo))
+                      for lo in range(0, size, rows))
             if keep:
-                for u in units:
-                    if u is not None:
+                pieces = kept[index] = list(pieces)
+                for units in pieces:
+                    for u in units.values():
                         u.flags.writeable = False
-                kept[index] = units
         counts = [np.zeros(len(job.users), dtype=np.int64) for job in jobs]
-        for lo in range(0, size, CHUNK_ROWS):  # row chunks bound the scaled copies
-            unit_sr, units_ru, unit_li = (u if u is None else u[lo:lo + CHUNK_ROWS] for u in units)
-            for (scales_ru, sort), members in groups.items():
-                g2 = scale_users(units_ru, scales_ru, sort)
-                for i in members:
-                    job, (s1, _, s3) = jobs[i], laws[i][1]
-                    g1, g3 = s1 * unit_sr, (s3 * unit_li if s3 > 0 else 0.0)
-                    counts[i] += [np.count_nonzero(outage_mask(g1, g2, g3, job.dc, u)) for u in job.users]
+        for units in pieces:
+            for lo in range(0, len(units[needed[0]]), CHUNK_ROWS):  # row chunks bound the scaled copies
+                chunk = {pair: u[lo:lo + CHUNK_ROWS] for pair, u in units.items()}
+                for (users, scales_ru, sort), members in groups.items():
+                    g2 = scale_users([chunk[pair] for pair in users], scales_ru, sort)
+                    for i in members:
+                        job, ((k1, _, k3), (s1, _, s3)) = jobs[i], laws[i]
+                        g1, g3 = s1 * chunk[0, k1], (s3 * chunk[1, k3] if s3 > 0 else 0.0)
+                        counts[i] += [np.count_nonzero(outage_mask(g1, g2, g3, job.dc, u)) for u in job.users]
         return np.concatenate(counts)
 
     p = _run_blocks(kernel, trials, partitions) / trials

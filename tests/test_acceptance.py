@@ -29,7 +29,7 @@ from fdnoma import (
 from fdnoma.analytic import _relay_cdf
 from fdnoma.channel import draw_batch, seeded_stream
 from fdnoma.cli import SweepSpec, run_sweep
-from fdnoma.config import config_to_dict, gamma_laws
+from fdnoma.config import config_to_dict
 from fdnoma.montecarlo import Job, _estimate
 
 pytestmark = pytest.mark.acceptance
@@ -97,17 +97,11 @@ def triangle_grid():
             skipped["outside band"] += 1
             continue
         rows.append((cfg, user, exact))
-    # One engine call per set of fading shapes draws each stream once; every
-    # estimate equals its own estimate(cfg, user, ...) call bit for bit.
-    groups = {}
-    for i, (cfg, user, _) in enumerate(rows):
-        dc = derive_constants(cfg)
-        groups.setdefault(gamma_laws(dc)[0], []).append((i, Job(dc, (user,), "mc")))
-    mc = [None] * len(rows)
-    for members in groups.values():
-        index, jobs = zip(*members)
-        for i, (est,) in zip(index, _estimate(list(jobs), TRIANGLE_TRIALS, 20240817, 8)):
-            mc[i] = est
+    # One engine call for all 50 configs draws each (block, column, shape)
+    # once; every estimate equals its own estimate(cfg, user, ...) call bit
+    # for bit.
+    jobs = [Job(derive_constants(cfg), (user,), "mc") for cfg, user, _ in rows]
+    mc = [est for (est,) in _estimate(jobs, TRIANGLE_TRIALS, 20240817, 8)]
     out = [(cfg, user, exact, op_oracle_2d(cfg, user), op_lower_bound(cfg, user), est)
            for (cfg, user, exact), est in zip(rows, mc)]
     return out, skipped

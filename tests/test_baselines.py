@@ -72,32 +72,34 @@ def test_hd_equals_fd_when_loop_interference_vanishes():
 
 
 def _record_draws(monkeypatch):
-    calls = []
-    real = montecarlo.draw_units
+    """The (block, column) of each stream the engine makes: one per
+    (block, column, shape) it draws."""
+    made = []
+    real = montecarlo.seeded_stream
 
-    def recording(shapes, rng, size, include_li):
-        calls.append(include_li)
-        return real(shapes, rng, size, include_li)
+    def recording(seed, block, column, shape):
+        made.append((block, column))
+        return real(seed, block, column, shape)
 
-    monkeypatch.setattr(montecarlo, "draw_units", recording)
-    return calls
+    monkeypatch.setattr(montecarlo, "seeded_stream", recording)
+    return made
 
 
 def test_hd_draws_loop_interference_only_next_to_a_full_duplex_job(monkeypatch):
-    # an hd-only run skips the loop-interference block; next to an mc job
-    # the block is drawn, and the hd counts stay those of the hd-only run
+    # an hd-only run skips the loop-interference column (1); next to an mc
+    # job each block draws it, and the hd counts stay those of the hd-only run
     cfg = default_config(snr_db=12.0, kappa_sr=0.1, kappa_ru=0.05, sigma_e_sr_sq=0.01,
                          sigma_ipsic_sq=0.05, tx_antennas=2, rx_antennas=2)
     calls = _record_draws(monkeypatch)
     trials = montecarlo.BLOCK_TRIALS + 5000
     alone = hd_outage_all(BaselineConfig(base=cfg, mode="hd_noma"), trials, seed=13)
-    assert calls == [False, False]
+    assert sorted(calls) == [(b, c) for b in (0, 1) for c in (0, 2, 3, 4)]
     calls.clear()
     mc, mixed = _estimate(
         [Job(derive_constants(cfg), None, "mc"), hd_job(cfg)],
         trials, 13, 2,
     )
-    assert calls == [True, True]
+    assert sorted(calls) == [(b, c) for b in (0, 1) for c in range(5)]
     assert [e.op_value for e in mixed] == [e.op_value for e in alone]
     assert all(0.0 < e.op_value < 1.0 for e in alone)
     assert [e.op_value for e in mc] != [e.op_value for e in alone]

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, stats
 
 from fdnoma import default_config, derive_constants, draw_batch, ordered_sf, seeded_stream
-from fdnoma.channel import draw_units, scale_users
+from fdnoma.channel import draw_units, scale_users, unit_columns
 from fdnoma.config import gamma_laws
 
 
@@ -21,16 +21,17 @@ def test_same_key_reproduces_identical_draws(ideal_cfg):
 
 def test_zero_loop_interference_skips_its_block(ideal_cfg):
     # constants without loop-interference power (half duplex) draw the same
-    # first-hop and user blocks, then stop: g3 is the scalar 0.0 and the
-    # stream is left where the loop-interference block would begin
+    # first-hop and user columns and no loop-interference column: g3 is
+    # the scalar 0.0 and one generator is left where that column would begin
     dc = derive_constants(ideal_cfg)
+    shapes, (_, _, s3) = gamma_laws(dc)
+    assert unit_columns(shapes, False) == unit_columns(shapes, True)[:-1]
     full_rng, hd_rng = seeded_stream(1, 0), seeded_stream(1, 0)
     full = draw_batch(dc, full_rng, 1000)
     hd = draw_batch(replace(dc, power_li=0.0), hd_rng, 1000)
     assert hd[0].tobytes() == full[0].tobytes() and hd[1].tobytes() == full[1].tobytes()
     assert hd[2] == 0.0 and isinstance(hd[2], float)
-    unit_li = draw_units(gamma_laws(dc)[0], seeded_stream(1, 0), 1000, True)[2]
-    assert hd_rng.standard_gamma(ideal_cfg.m_li, 1000).tobytes() == unit_li.tobytes()
+    assert (s3 * hd_rng.standard_gamma(ideal_cfg.m_li, 1000)).tobytes() == full[2].tobytes()
 
 
 def test_different_seed_or_substream_differs(ideal_cfg):
@@ -38,6 +39,13 @@ def test_different_seed_or_substream_differs(ideal_cfg):
     base = draw_batch(dc, seeded_stream(1, 0), 10)[0]
     assert not np.array_equal(base, draw_batch(dc, seeded_stream(2, 0), 10)[0])
     assert not np.array_equal(base, draw_batch(dc, seeded_stream(1, 1), 10)[0])
+    # the engine's keys: a different seed, block, column or shape differs
+    key = (1, 0, 2, 1)
+    unit = seeded_stream(*key).standard_gamma(1, 10)
+    for i in range(len(key)):
+        other = list(key)
+        other[i] += 1
+        assert not np.array_equal(unit, seeded_stream(*other).standard_gamma(1, 10))
 
 
 @pytest.mark.parametrize("shape", [1, 2, 3, 4, 6, 2.5])
@@ -63,6 +71,10 @@ def test_seed_bounds():
         seeded_stream(1.5)
     with pytest.raises(ValueError, match="integer"):
         seeded_stream(1, 0.5)
+    with pytest.raises(ValueError):
+        seeded_stream(1, 0, 2 ** 64, 1)
+    with pytest.raises(ValueError, match="integer"):
+        seeded_stream(1, 0, 2, 1.0)
 
 
 def test_substreams_uncorrelated(ideal_cfg):
@@ -104,7 +116,7 @@ def test_network_sorts_every_zero_one_row():
     # sorts every input; all 2**L rows go through one call
     for num_users in range(1, 13):
         rows = np.array(list(itertools.product((0.0, 1.0), repeat=num_users)))
-        ordered = scale_users(np.asfortranarray(rows), np.ones(num_users))
+        ordered = scale_users(rows.T, np.ones(num_users))
         assert np.array_equal(ordered, np.sort(rows, axis=1))
 
 
@@ -116,34 +128,48 @@ def test_network_equals_row_sort_with_ties(order):
     for num_users in range(1, 21):
         units = np.asarray(rng.integers(0, 4, (2_000, num_users)), dtype=float, order=order)
         scales = rng.integers(1, 3, num_users).astype(float)
-        ordered = scale_users(units, scales)
+        ordered = scale_users(units.T, scales)
         assert np.array_equal(ordered, np.sort(units * scales, axis=1))
 
 
 def test_unsorted_or_single_user_gains_are_only_scaled():
-    units = draw_units((1, (2, 1, 3), 1), seeded_stream(8, 0), 1_000, False)[1]
+    rng = seeded_stream(8, 0)
+    units = list(draw_units(((2, 2), (3, 1), (4, 3)), lambda c, k: rng, 1_000).values())
     scales = (0.5, 2.0, 1 / 3)
-    assert np.array_equal(scale_users(units, scales, sort=False), units * np.array(scales))
-    assert np.array_equal(scale_users(units[:, :1], (0.7,)), units[:, :1] * 0.7)
+    gains = scale_users(units, scales, sort=False)
+    assert gains.flags.f_contiguous
+    assert np.array_equal(gains, np.column_stack(units) * np.array(scales))
+    assert np.array_equal(scale_users(units[:1], (0.7,)), units[0][:, None] * 0.7)
 
 
 @pytest.mark.parametrize("include_li", [True, False])
 def test_user_columns_follow_the_stream_contract(include_li):
-    # draw_units writes each user's draws into its own contiguous column;
-    # column i is the i-th sequential standard_gamma call, and the stream
-    # ends where sequential calls leave it
+    # column 0 is the first hop, 1 loop interference and 2 + i user i, for
+    # any number of users; draw_units draws each (column, shape) from its
+    # stream, in the order given, and draw_batch's one generator draws them
+    # in the contract order, ending where sequential calls leave it
     shapes = (2, (4, 1, 6, 2), 3)
+    columns = unit_columns(shapes, include_li)
+    assert columns == ((0, 2), (2, 4), (3, 1), (4, 6), (5, 2)) + (((1, 3),) if include_li else ())
+    assert unit_columns((2, (4, 1), 3), include_li)[:3] == columns[:3]
+    units = draw_units(columns, lambda c, k: seeded_stream(5, 3, c, k), 3_001)
+    assert list(units) == list(columns)
+    for (c, k), unit in units.items():
+        assert unit.tobytes() == seeded_stream(5, 3, c, k).standard_gamma(k, 3_001).tobytes()
     rng, twin = seeded_stream(5, 3), seeded_stream(5, 3)
-    unit_sr, units_ru, unit_li = draw_units(shapes, rng, 3_001, include_li)
-    assert unit_sr.tobytes() == twin.standard_gamma(2, 3_001).tobytes()
-    for i, k in enumerate(shapes[1]):
-        assert units_ru[:, i].flags.c_contiguous
-        assert units_ru[:, i].tobytes() == twin.standard_gamma(k, 3_001).tobytes()
-    if include_li:
-        assert unit_li.tobytes() == twin.standard_gamma(3, 3_001).tobytes()
-    else:
-        assert unit_li is None
+    for (c, k), unit in draw_units(columns, lambda c, k: rng, 3_001).items():
+        assert unit.tobytes() == twin.standard_gamma(k, 3_001).tobytes()
     assert rng.random(100).tobytes() == twin.random(100).tobytes()
+
+
+@pytest.mark.parametrize("shape", [1, 2, 3, 6])
+def test_chunked_draws_equal_one_draw(shape):
+    # the engine draws a block's column CHUNK_ROWS rows at a time from one
+    # generator; the chunks must join into the one whole-block draw
+    whole = seeded_stream(3, 1, 2, shape).standard_gamma(shape, 100_003)
+    rng = seeded_stream(3, 1, 2, shape)
+    parts = [rng.standard_gamma(shape, n) for n in (32_768, 32_768, 30_000, 4_467)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 def test_largest_order_statistic_mean_matches_quadrature():

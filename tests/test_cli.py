@@ -197,6 +197,8 @@ def test_meta_header_contents(cfg_file, tmp_path):
     # the Monte Carlo streams depend on these versions
     assert f"\n# numpy: {np.__version__}\n" in text
     assert f"\n# scipy: {scipy.__version__}\n" in text
+    # and on their keying
+    assert "\n# stream: SFC64, SeedSequence(seed, spawn_key=(block, column, shape))\n" in text
     assert "# config_hash:" in text
     assert "# seed: 11" in text
 
@@ -513,22 +515,25 @@ def test_sweep_mc_cells_equal_separate_engine_calls(tmp_path, monkeypatch, sweep
 
 
 def test_sweep_draws_each_block_once(cfg_file, tmp_path, monkeypatch):
-    # 7 points x (mc, hd, oma) over 2 blocks: one stream per block, not 42
+    # 7 points x (mc, hd, oma) over 2 blocks: one stream per (block,
+    # column, shape), not one per job; the 2x2 config's first hop and
+    # users are Gamma(2) and its loop interference Gamma(1)
     from fdnoma import montecarlo
     from fdnoma.montecarlo import BLOCK_TRIALS
 
     calls = []
     real = montecarlo.seeded_stream
 
-    def counting(seed, substream=0):
-        calls.append(substream)
-        return real(seed, substream)
+    def counting(seed, *key):
+        calls.append(key)
+        return real(seed, *key)
 
     monkeypatch.setattr(montecarlo, "seeded_stream", counting)
     spec = SweepSpec("snr_db", 0.0, 30.0, 5.0, ("mc", "hd", "oma"), (1, 2, 3),
                      trials=2 * BLOCK_TRIALS, seed=5, partitions=2)
     run_sweep(cfg_file, spec, tmp_path / "s.csv")
-    assert sorted(calls) == [0, 1]
+    columns = [(0, 2), (1, 1), (2, 2), (3, 2), (4, 2)]
+    assert sorted(calls) == [(b, *pair) for b in (0, 1) for pair in columns]
 
 
 def test_numeric_failure_spends_no_monte_carlo_time(tmp_path, capsys, monkeypatch):
@@ -562,22 +567,22 @@ PINNED_SWEEPS = {
         dict(li_quality_mu=0.2, tx_antennas=2, rx_antennas=2),
         ["--sweep", "snr_db=0:30:5", "--methods", "mc,hd,oma,exact,lb,asymp",
          "--seed", "7", "--trials", "200000", "--partitions", "2"],
-        "3f53ddba9b251416cc06c33602265af9f93cd57c6ba5608f9f5f25ec9314d4e9",
+        "946d97b724700065215eccc2c16d189073cb9a1e9c86e2c72ba3575ba9883e64",
     ),
     "cee-analytic": (
         dict(sigma_e_sr_sq=0.03, sigma_e_ru_sq=0.03),
         ["--sweep", "snr_db=0:60:20", "--methods", "exact,lb,asymp"],
-        "d0aa75ac78ac801178615ea68427aa38ec05e888d04719620d70db4b73d3661f",
+        "2901561044e4d5a83d8264036f74b8cfd5f8c5cd131fec9820389dca29e378ea",
     ),
     "3x2-mu-sweep": (
         dict(tx_antennas=3, rx_antennas=2, m_sr=2),
         ["--sweep", "mu=0:1:0.25", "--methods", "exact,lb,asymp,mc", "--seed", "3", "--trials", "100000"],
-        "3d769c9e04c20f74e9ad32f22e95cbd93d98be009e999f26d578a047f95227dd",
+        "e5f03bd98c6bfd5c4df809b1d0afc60cb5f6ed1ee5dcf08c490ed97ab305b23a",
     ),
     "per-user-fading-mc": (
         dict(m_ru=(1, 2, 1), d_ru=(0.4, 0.5, 0.7)),
         ["--sweep", "snr_db=0:20:10", "--methods", "mc,hd,oma", "--seed", "5", "--trials", "100000"],
-        "4cf22faf5ad9eccd789a65477ecce7c8dd83b622524cc02d89cb12d479e79e1b",
+        "2ba2cbbbd5e5e64a328ebf02da5a101b406c7c57033f7173e9810a73d4e2b5e8",
     ),
 }
 

@@ -7,6 +7,7 @@ import pytest
 
 from fdnoma import default_config, derive_constants, estimate, estimate_all_users, montecarlo, op_exact
 from fdnoma.baselines import hd_job, oma_job
+from fdnoma.channel import unit_columns
 from fdnoma.config import gamma_laws
 from fdnoma.montecarlo import BLOCK_TRIALS, CACHED_BLOCKS, Job, _estimate, _kept_blocks
 
@@ -14,7 +15,7 @@ from fdnoma.montecarlo import BLOCK_TRIALS, CACHED_BLOCKS, Job, _estimate, _kept
 def _key(cfg, seed, trials):
     """The slot key of an ``estimate_all_users(cfg, trials, seed)`` call."""
     shapes, scales = gamma_laws(derive_constants(cfg))
-    return shapes, scales[2] > 0, seed, trials
+    return tuple(sorted(unit_columns(shapes, scales[2] > 0))), seed, trials
 
 
 def _held(key):
@@ -105,6 +106,22 @@ def test_trial_sweep_keeps_one_call():
         assert estimate_all_users(cfg, trials, seed=11, partitions=2) == warm
 
 
+def _record_block_draws(monkeypatch, key):
+    """``{block: held}``, filled as each block's first-hop stream is made
+    (the first of its streams): the sorted blocks that the slot then
+    holds under ``key[0]``, the key of the call in flight."""
+    seen = {}
+    real = montecarlo.seeded_stream
+
+    def recording(seed, block, column, shape):
+        if column == 0:
+            seen[block] = _held(key[0])
+        return real(seed, block, column, shape)
+
+    monkeypatch.setattr(montecarlo, "seeded_stream", recording)
+    return seen
+
+
 def test_call_of_more_blocks_keeps_none(ideal_cfg, monkeypatch):
     # a call of more than CACHED_BLOCKS blocks drops what an earlier call
     # kept before its first draw, draws every block, and keeps none
@@ -112,16 +129,10 @@ def test_call_of_more_blocks_keeps_none(ideal_cfg, monkeypatch):
     cold = estimate_all_users(ideal_cfg, trials, seed=1, partitions=2)
     estimate_all_users(ideal_cfg, 2 * BLOCK_TRIALS, seed=1, partitions=2)
     assert _held(_key(ideal_cfg, 1, 2 * BLOCK_TRIALS)) == [0, 1]
-    seen = []
-    real = montecarlo.draw_units
-
-    def recording(shapes, rng, size, include_li):
-        seen.append(_held(_key(ideal_cfg, 1, trials)))
-        return real(shapes, rng, size, include_li)
-
-    monkeypatch.setattr(montecarlo, "draw_units", recording)
+    seen = _record_block_draws(monkeypatch, [_key(ideal_cfg, 1, trials)])
     assert estimate_all_users(ideal_cfg, trials, seed=1, partitions=2) == cold
-    assert seen == [[]] * (CACHED_BLOCKS + 1)
+    assert sorted(seen) == list(range(CACHED_BLOCKS + 1))
+    assert list(seen.values()) == [[]] * (CACHED_BLOCKS + 1)
     assert _held(_key(ideal_cfg, 1, trials)) == []
 
 
@@ -130,25 +141,29 @@ def test_new_stream_dropped_before_drawing(ideal_cfg, monkeypatch):
     # the old key's blocks
     trials = BLOCK_TRIALS + 1000
     key = [_key(ideal_cfg, 1, trials)]  # the key of the call in flight
-    seen = []
-    real = montecarlo.draw_units
-
-    def recording(shapes, rng, size, include_li):
-        seen.append(_held(key[0]))
-        return real(shapes, rng, size, include_li)
-
-    monkeypatch.setattr(montecarlo, "draw_units", recording)
+    seen = _record_block_draws(monkeypatch, key)
     estimate_all_users(ideal_cfg, trials, seed=1, partitions=1)
     assert len(seen) == 2
     assert _held(key[0]) == [0, 1]
-    estimate_all_users(ideal_cfg, trials, seed=1, partitions=1)
-    assert len(seen) == 2  # both blocks read from the slot
     seen.clear()
+    estimate_all_users(ideal_cfg, trials, seed=1, partitions=1)
+    assert seen == {}  # both blocks read from the slot
     key[0] = _key(ideal_cfg, 2, trials)
     estimate_all_users(ideal_cfg, trials, seed=2, partitions=1)
-    assert len(seen) == 2
     assert _held(key[0]) == [0, 1]
-    assert seen == [[], [0]]
+    assert seen == {0: [], 1: [0]}
+
+
+def test_kept_and_chunked_draws_give_the_same_counts(ideal_cfg, monkeypatch):
+    # a call that keeps its blocks draws each column whole, a larger call
+    # CHUNK_ROWS rows at a time; the counts must not tell them apart
+    trials = (CACHED_BLOCKS + 1) * BLOCK_TRIALS - 7
+    chunked = estimate_all_users(ideal_cfg, trials, seed=6, partitions=2)
+    assert _held(_key(ideal_cfg, 6, trials)) == []
+    monkeypatch.setattr(montecarlo, "CACHED_BLOCKS", CACHED_BLOCKS + 1)
+    whole = estimate_all_users(ideal_cfg, trials, seed=6, partitions=2)
+    assert _held(_key(ideal_cfg, 6, trials)) == list(range(CACHED_BLOCKS + 1))
+    assert whole == chunked
 
 
 def test_concurrent_streams_match_sequential_runs(ideal_cfg):
@@ -194,14 +209,55 @@ def test_trials_and_users_validation(ideal_cfg):
         estimate_all_users(ideal_cfg, trials=10, partitions=0)
 
 
-def test_jobs_must_share_fading_shapes(ideal_cfg):
-    # one stream of unit draws can serve only jobs with the same Gamma shapes
-    a = Job(derive_constants(ideal_cfg), None, "mc")
-    b = Job(derive_constants(replace(ideal_cfg, m_sr=2)), None, "mc")
-    with pytest.raises(ValueError, match="fading shapes"):
-        _estimate([a, b], 10, 0, 1)
-    with pytest.raises(ValueError, match="fading shapes"):
+def test_jobs_must_not_be_empty():
+    # jobs of different fading shapes share a call, but a call needs a job
+    with pytest.raises(ValueError, match="jobs must not be empty"):
         _estimate([], 10, 0, 1)
+
+
+# (users, tx antennas, rx antennas, m_sr, m_ru, m_li) of the six strata of
+# the benchmark's cross-check workload
+CROSS_STRATA = [(2, 1, 1, 1, 1, 1), (3, 2, 2, 2, 1, 2), (2, 3, 3, 1, 2, 1),
+                (3, 1, 2, 2, 2, 2), (2, 2, 3, 2, 1, 1), (3, 3, 2, 2, 1, 1)]
+
+
+def _stratum(num_users, tx, rx, m_sr, m_ru, m_li, **overrides):
+    users = {2: ((0.7, 0.3), (0.9, 1.5)), 3: ((1 / 2, 1 / 3, 1 / 6), (0.9, 1.5, 2.0))}
+    coeffs, thresholds = users[num_users]
+    return default_config(num_users=num_users, power_coeffs=coeffs, thresholds=thresholds,
+                          tx_antennas=tx, rx_antennas=rx, m_sr=m_sr, m_ru=m_ru, m_li=m_li,
+                          **overrides)
+
+
+def test_jobs_of_mixed_shapes_match_their_own_calls():
+    # jobs of different fading shapes share one call; each reads only its
+    # own (column, shape) draws, so each estimate equals its own call
+    cfgs = [_stratum(*s, li_quality_mu=0.2, snr_db=12.0) for s in CROSS_STRATA]
+    jobs = [Job(derive_constants(c), None, "mc") for c in cfgs] + [hd_job(cfgs[1]), oma_job(cfgs[2])]
+    assert len({gamma_laws(job.dc)[0] for job in jobs}) == len(CROSS_STRATA)
+    trials = BLOCK_TRIALS + 30_000
+    together = _estimate(jobs, trials, 17, 2)
+    assert any(0.0 < e.op_value < 1.0 for ests in together for e in ests)
+    for job, ests in zip(jobs, together):
+        assert _estimate([job], trials, 17, 2) == [ests]
+
+
+def test_user_columns_do_not_depend_on_the_number_of_users(monkeypatch):
+    # users 1 and 2 draw from the same (block, column, shape) streams in
+    # 2-user and 3-user configs of equal shapes: a call of both makes
+    # exactly the streams of the 3-user job alone
+    three = _stratum(3, 2, 2, 1, 1, 1)
+    two = _stratum(2, 2, 2, 1, 1, 1)
+    jobs = [Job(derive_constants(c), None, "mc") for c in (three, two)]
+    made = []
+    real = montecarlo.seeded_stream
+    monkeypatch.setattr(montecarlo, "seeded_stream", lambda *key: made.append(key) or real(*key))
+    _estimate(jobs, BLOCK_TRIALS + 1, 3, 1)
+    both = sorted(made)
+    made.clear()
+    _kept_blocks.cache_clear()  # the 3-user call alone has the same slot key
+    _estimate(jobs[:1], BLOCK_TRIALS + 1, 3, 1)
+    assert both == sorted(made) and len(both) == 2 * 5
 
 
 def test_infeasible_user_hits_one_exactly():
@@ -240,25 +296,26 @@ def test_matches_exact_within_three_sigma(ideal_cfg):
 
 
 
-# Outage counts of one seeded block.  The first two were recorded before
-# the mask became one peak-demand comparison, the last two (two users;
-# unequal per-user distances and shapes, so the ordered gains are not
-# identically distributed) before the row sort became a compare-exchange
-# network.  They hold for the Philox and Gamma streams of numpy 2.4.6 /
-# scipy 1.17.1, the versions the CI pins.
+# Outage counts of one seeded block.  The first two configs were pinned
+# before the mask became one peak-demand comparison, the last two (two
+# users; unequal per-user distances and shapes, so the ordered gains are
+# not identically distributed) before the row sort became a
+# compare-exchange network.  The counts were recorded when the draws were
+# keyed by (seed, block, column, shape) on SFC64; they hold for the SFC64
+# and Gamma samplers of numpy 2.4.6 / scipy 1.17.1, the versions the CI pins.
 PINNED_COUNTS = [
     (default_config(tx_antennas=2, rx_antennas=2),
-     {"mc": [10993, 7274, 6917], "hd": [2941, 718, 681], "oma": [4646, 4664, 4640]}),
+     {"mc": [10978, 7171, 6826], "hd": [2997, 697, 655], "oma": [4671, 4677, 4733]}),
     (default_config(tx_antennas=3, rx_antennas=2, m_sr=2, li_quality_mu=0.5, kappa_sr=0.1,
                     kappa_ru=0.1, sigma_e_sr_sq=0.02, sigma_e_ru_sq=0.02, sigma_ipsic_sq=0.02,
                     snr_db=15.0),
-     {"mc": [41394, 38983, 30385], "hd": [13626, 926, 17], "oma": [6934, 7062, 7123]}),
+     {"mc": [41294, 39291, 30350], "hd": [13634, 953, 18], "oma": [7030, 7079, 7081]}),
     (default_config(num_users=2, tx_antennas=2, rx_antennas=2, power_coeffs=(0.7, 0.3),
                     thresholds=(0.9, 1.2), snr_db=10.0),
-     {"mc": [1054, 2739], "hd": [307, 361], "oma": [2101, 2132]}),
+     {"mc": [1052, 2690], "hd": [274, 347], "oma": [2068, 2052]}),
     (default_config(tx_antennas=2, rx_antennas=2, m_ru=(1, 2, 1), d_ru=(0.4, 0.5, 0.7),
                     kappa_ru=0.05, sigma_e_ru_sq=0.01, snr_db=15.0),
-     {"mc": [22542, 8185, 7536], "hd": [10958, 840, 758], "oma": [4495, 4404, 11748]}),
+     {"mc": [22217, 8070, 7463], "hd": [10517, 806, 730], "oma": [4583, 4459, 11575]}),
 ]
 
 
