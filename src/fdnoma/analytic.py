@@ -123,9 +123,7 @@ class _User(NamedTuple):
 
 def _user_view(dc: DerivedConstants, user: int) -> _User | None:
     """The view of ``user``, or None when a decode stage of it is infeasible."""
-    L, user = dc.cfg.num_users, _check_int("user", user)
-    if not 1 <= user <= L:
-        raise ValueError(f"user must lie in 1..{L}")
+    L, user = dc.cfg.num_users, _check_int("user", user, 1, dc.cfg.num_users)
     if not dc.feasible[user - 1]:
         return None
     (k1, k2, k3), (s1, s2, s3) = gamma_laws(dc)
@@ -320,7 +318,11 @@ def _relay_cdf(k1: int, k3: int, theta, mean):
     shape = (-1,) + (1,) * max(theta.ndim, mean.ndim)
     j, log_coeffs = j.reshape(shape), log_coeffs.reshape(shape)
     log_nb = log_coeffs + xlogy(j, theta) - (j + k3) * np.log1p(theta)
-    return (np.exp(log_nb) * gammainc(k1 - j, mean)).sum(axis=0) + betainc(k1, k3, theta / (1.0 + theta))
+    terms = np.exp(log_nb) * gammainc(k1 - j, mean)
+    # in order along axis 0, as NumPy adds an array call's terms; it would
+    # add a one-point call's 1-D run pairwise from 8 terms on
+    total = terms.sum(axis=0) if terms.ndim > 1 else np.cumsum(terms)[-1]
+    return total + betainc(k1, k3, theta / (1.0 + theta))
 
 
 # Scan steps of the exact body and of the oracle's two rules,

@@ -47,6 +47,8 @@ from .config import DerivedConstants, _check_int, gamma_laws
 
 __all__ = ["seeded_stream", "draw_batch", "draw_units", "scale_users", "unit_columns"]
 
+SEED_MAX = 2 ** 64 - 1  # seeds and substream keys are unsigned 64-bit integers
+
 
 def seeded_stream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic random stream for ``(seed, *key)``: an SFC64 generator
@@ -55,12 +57,8 @@ def seeded_stream(seed: int, *key: int) -> np.random.Generator:
     Identical arguments reproduce identical draw sequences; different keys
     under one seed give independent streams.
     """
-    seed = _check_int("seed", seed)
-    key = tuple(_check_int("substream", k) for k in key)
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if not all(0 <= k < 2 ** 64 for k in key):
-        raise ValueError("substream must fit in an unsigned 64-bit integer")
+    seed = _check_int("seed", seed, 0, SEED_MAX)
+    key = tuple(_check_int("substream", k, 0, SEED_MAX) for k in key)
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 

@@ -28,7 +28,8 @@ import scipy
 from . import __version__
 from .analytic import NumericsError, _op_asymptotic, _op_exact, _op_lower_bound, _user_view
 from .baselines import hd_job, oma_job
-from .config import ConfigError, SystemConfig, config_hash, derive_constants, load_config
+from .channel import SEED_MAX
+from .config import ConfigError, SystemConfig, _check_int, config_hash, derive_constants, load_config
 from .montecarlo import Job, _estimate
 
 __all__ = ["SweepSpec", "run_sweep", "validate_config", "main"]
@@ -76,12 +77,9 @@ class SweepSpec:
             items = getattr(self, name)
             if len(set(items)) != len(items):
                 raise ConfigError(f"{name} must not repeat: {list(items)}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.partitions < 1:
-            raise ConfigError("partitions must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        _check_int("trials", self.trials, 1)
+        _check_int("partitions", self.partitions, 1)
+        _check_int("seed", self.seed, 0, SEED_MAX)
 
     def grid(self) -> np.ndarray:
         n = int(np.floor((self.stop - self.start) / self.step + 1e-9)) + 1
@@ -133,8 +131,7 @@ def run_sweep(config_path, spec: SweepSpec, out_path) -> None:
 def _sweep(cfg: SystemConfig, spec: SweepSpec, out_path) -> None:
     """:func:`run_sweep` on a loaded config: ``main`` reads the file once."""
     for u in spec.users:
-        if not 1 <= u <= cfg.num_users:
-            raise ConfigError(f"user {u} outside 1..{cfg.num_users}")
+        _check_int("user", u, 1, cfg.num_users)
     values = spec.grid()
     points = [derive_constants(_apply_variable(cfg, spec.variable, v)) for v in values]
     builders = {

@@ -57,7 +57,8 @@ _OPTIONAL_KEYS = {"hd_thresholds", "oma_threshold"}  # None: the comparison syst
 
 
 class ConfigError(ValueError):
-    """A configuration value violates one of the model invariants."""
+    """An input value (a config field, a run argument or a user index)
+    violates one of the model invariants."""
 
 
 def _check_real(name, value):
@@ -81,22 +82,30 @@ def _check_real(name, value):
     return value
 
 
-def _check_int(name, value) -> int:
-    """``value`` as an ``int``, or ValueError when ``operator.index``
-    refuses it (a float does, even an integral one; NumPy integers pass)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+def _check_int(name, value, lo=None, hi=None) -> int:
+    """``operator.index(value)``, checked to lie in ``[lo, hi]`` (a None
+    bound is open), or ConfigError: the package's one integer rule, for
+    every count and index.  NumPy integers pass; a float is refused, even
+    an integral one, and so is a bool."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    v = operator.index(value)
+    if (lo is not None and v < lo) or (hi is not None and v > hi):
+        raise ConfigError(f"{name} must be " + (f">= {lo}" if hi is None else f"in {lo}..{hi}") + f", got {v}")
+    return v
 
 
-def _per_user(value, n, cast, name):
-    if isinstance(value, (list, tuple, np.ndarray)):
-        out = tuple(cast(v) for v in value)
-        if len(out) != n:
-            raise ConfigError(f"{name} must have {n} entries, got {len(out)}")
-        return out
-    return (cast(value),) * n
+def _count(name, value) -> int:
+    """A config count or shape, at least 1; an integral float (JSON's
+    ``2.0``) is read as its int, so the file keeps its config hash."""
+    return _check_int(name, int(value) if isinstance(value, float) and value.is_integer() else value, 1)
+
+
+def _per_user(value, n, name) -> tuple:
+    out = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else (value,) * n
+    if len(out) != n:
+        raise ConfigError(f"{name} must have {n} entries, got {len(out)}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -139,22 +148,12 @@ class SystemConfig:
         for name in self.__dataclass_fields__:
             if not (name in _OPTIONAL_KEYS and getattr(self, name) is None):
                 _check_real(name, getattr(self, name))
-        n = int(self.num_users)
-        object.__setattr__(self, "num_users", n)
-        if n < 1:
-            raise ConfigError("num_users must be a positive integer")
-        for name in ("tx_antennas", "rx_antennas", "m_sr", "m_li"):
-            v = getattr(self, name)
-            if int(v) != v or int(v) < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+        for name in ("num_users", "tx_antennas", "rx_antennas", "m_sr", "m_li"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        n = self.num_users
+        object.__setattr__(self, "m_ru", tuple(_count("m_ru", m) for m in _per_user(self.m_ru, n, "m_ru")))
 
-        m_ru = _per_user(self.m_ru, n, int, "m_ru")
-        if any(m < 1 for m in m_ru):
-            raise ConfigError("m_ru entries must be positive integers")
-        object.__setattr__(self, "m_ru", m_ru)
-
-        d_ru = _per_user(self.d_ru, n, float, "d_ru")
+        d_ru = tuple(float(d) for d in _per_user(self.d_ru, n, "d_ru"))
         if self.d_sr <= 0 or any(d <= 0 for d in d_ru):
             raise ConfigError("distances must be positive")
         object.__setattr__(self, "d_ru", d_ru)

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import draw_units, scale_users, seeded_stream, unit_columns
-from .config import DerivedConstants, SystemConfig, _check_int, derive_constants, gamma_laws
+from .channel import SEED_MAX, draw_units, scale_users, seeded_stream, unit_columns
+from .config import ConfigError, DerivedConstants, SystemConfig, _check_int, derive_constants, gamma_laws
 from .sidnr import outage_mask
 
 __all__ = ["BLOCK_TRIALS", "Job", "OutageEstimate", "estimate", "estimate_all_users"]
@@ -98,14 +98,10 @@ class Job:
     sort: bool = True
 
     def __post_init__(self):
-        num_users = self.dc.cfg.num_users
-        users = range(1, num_users + 1) if self.users is None else self.users
-        users = tuple(_check_int("user", u) for u in users)
+        L = self.dc.cfg.num_users
+        users = tuple(_check_int("user", u, 1, L) for u in (range(1, L + 1) if self.users is None else self.users))
         if not users:
-            raise ValueError("users must not be empty")
-        for u in users:
-            if not 1 <= u <= num_users:
-                raise ValueError(f"user {u} outside 1..{num_users}")
+            raise ConfigError("users must not be empty")
         object.__setattr__(self, "users", users)
 
 
@@ -114,12 +110,8 @@ def _estimate(jobs: list[Job], trials, seed, partitions) -> list[list[OutageEsti
     shape) that some job needs is drawn once, from ``seeded_stream(seed,
     b, column, shape)`` (or read from the slot), and scaled to each job's
     constants."""
-    trials, seed = _check_int("trials", trials), _check_int("seed", seed)
-    partitions = _check_int("partitions", partitions)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if partitions < 1:
-        raise ValueError("partitions must be >= 1")
+    trials, seed = _check_int("trials", trials, 1), _check_int("seed", seed, 0, SEED_MAX)
+    partitions = _check_int("partitions", partitions, 1)
     if not jobs:
         raise ValueError("jobs must not be empty")
     laws = [gamma_laws(job.dc) for job in jobs]

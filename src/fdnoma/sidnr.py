@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DerivedConstants
+from .config import DerivedConstants, _check_int
 
 __all__ = ["outage_mask"]
 
@@ -41,8 +41,7 @@ def outage_mask(gain_sr: np.ndarray, gains_ru_sorted: np.ndarray, gain_li,
                 dc: DerivedConstants, user: int) -> np.ndarray:
     """Outage indicator of ``user`` over a batch of realizations (all of
     them for an infeasible user).  ``gain_li`` may be the scalar 0.0."""
-    if not 1 <= user <= dc.cfg.num_users:
-        raise ValueError(f"user must lie in 1..{dc.cfg.num_users}")
+    user = _check_int("user", user, 1, dc.cfg.num_users)
     if not dc.feasible[user - 1]:
         return np.ones(gain_sr.shape, dtype=bool)
     g, t2, dmax = dc.snr_lin, dc.noise_ru[user - 1], dc.demand_peak[user - 1]

@@ -215,29 +215,20 @@ class TestRelayKernel:
 
     def test_one_point_matches_the_array_call(self):
         # a scalar against an array broadcasts as one point per element,
-        # whichever argument is the array.  Bit for bit up to k1 = 7: from
-        # 8 terms on, NumPy sums a one-point call's 1-D run of terms
-        # pairwise but an array call's columns in order, which moves the
-        # last bits (3 ulp at most, measured); the lower bound's values at
-        # k1 >= 8 keep that order.
+        # whichever argument is the array, bit for bit at every k1: both
+        # add the k1 terms in order (NumPy alone would add a one-point
+        # call's run pairwise from 8 terms on)
         theta = np.array([0.0, 1e-300, 1e-6, 0.3, 7.0, 1e12])
         mean = np.array([0.0, 1e-12, 0.02, 1.5, 40.0])
-
-        def check(got, one, k1):
-            if k1 < 8:
-                assert np.array_equal(got, one)
-            else:
-                np.testing.assert_array_max_ulp(got, one, maxulp=4)
-
-        for k1, k3 in itertools.product(range(1, 10), range(1, 4)):
+        for k1, k3 in itertools.product(range(1, 13), range(1, 4)):
             for t in (0.3, 7.0):
                 got = _relay_cdf(k1, k3, t, mean)
                 assert got.shape == mean.shape
-                check(got, [_relay_cdf(k1, k3, t, m) for m in mean], k1)
+                assert np.array_equal(got, [_relay_cdf(k1, k3, t, m) for m in mean])
             for m in (0.02, 1.5):
                 got = _relay_cdf(k1, k3, theta, m)
                 assert got.shape == theta.shape
-                check(got, [_relay_cdf(k1, k3, t, m) for t in theta], k1)
+                assert np.array_equal(got, [_relay_cdf(k1, k3, t, m) for t in theta])
             grid = _relay_cdf(k1, k3, theta[:, None], mean)
             assert grid.shape == (len(theta), len(mean))
             # columns against rows: both sum their terms in order
@@ -421,10 +412,11 @@ class TestExactVsOracle:
 
     @pytest.mark.parametrize("route", [op_exact, op_oracle_2d, op_lower_bound, op_asymptotic])
     def test_user_must_be_an_integer(self, route, ideal_cfg):
-        # a float user is refused, not truncated nor used as an index;
-        # NumPy integers pass
-        with pytest.raises(ValueError, match="integer"):
-            route(ideal_cfg, 2.5)
+        # a float or bool user is refused, not truncated nor used as an
+        # index; NumPy integers pass
+        for bad in (2.5, True):
+            with pytest.raises(ConfigError, match="integer"):
+                route(ideal_cfg, bad)
         assert route(ideal_cfg, np.int64(2)) == route(ideal_cfg, 2)
 
     @pytest.mark.parametrize("route", [op_exact, op_oracle_2d, op_lower_bound, op_asymptotic])

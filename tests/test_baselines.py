@@ -177,13 +177,15 @@ RUNNERS = {
 
 @pytest.mark.parametrize(
     "bad",
-    [{"partitions": 0}, {"partitions": 2.5}, {"users": ()}, {"users": (1.5,)}, {"trials": 2000.0}, {"seed": 1.9}],
-    ids=["partitions0", "float_partitions", "no_users", "float_user", "float_trials", "float_seed"],
+    [{"partitions": 0}, {"partitions": 2.5}, {"users": ()}, {"users": (1.5,)}, {"trials": 2000.0}, {"seed": 1.9},
+     {"trials": True}, {"seed": True}, {"partitions": True}, {"users": (True,)}],
+    ids=["partitions0", "float_partitions", "no_users", "float_user", "float_trials", "float_seed",
+         "bool_trials", "bool_seed", "bool_partitions", "bool_user"],
 )
 @pytest.mark.parametrize("method", sorted(RUNNERS))
 def test_every_engine_rejects_bad_input(ideal_cfg, method, bad):
     # refused before anything is drawn or the unit-draw slot is taken;
-    # a float is refused, not truncated
-    with pytest.raises(ValueError):
+    # a float or a bool is refused, not truncated nor read as 0 or 1
+    with pytest.raises(ConfigError):
         RUNNERS[method](ideal_cfg, **bad)
     assert _kept_blocks.cache_info().currsize == 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from fdnoma import default_config, derive_constants, draw_batch, ordered_sf, seeded_stream
+from fdnoma import ConfigError, default_config, derive_constants, draw_batch, ordered_sf, seeded_stream
 from fdnoma.channel import draw_units, scale_users, unit_columns
 from fdnoma.config import gamma_laws
 
@@ -75,6 +75,10 @@ def test_seed_bounds():
         seeded_stream(1, 0, 2 ** 64, 1)
     with pytest.raises(ValueError, match="integer"):
         seeded_stream(1, 0, 2, 1.0)
+    with pytest.raises(ConfigError, match="integer"):
+        seeded_stream(True)
+    with pytest.raises(ConfigError, match="integer"):
+        seeded_stream(1, True)
 
 
 def test_substreams_uncorrelated(ideal_cfg):

@@ -53,6 +53,9 @@ def test_spec_validation():
         SweepSpec("snr_db", 0, 1, 0.1, ("mc",), ())
     with pytest.raises(ConfigError):
         SweepSpec("snr_db", 0, 1, 0.1, ("mc",), (1,), trials=0)
+    for bad in (dict(trials=2.5), dict(partitions=True), dict(seed=1.5)):
+        with pytest.raises(ConfigError, match="integer"):
+            SweepSpec("snr_db", 0, 1, 0.1, ("mc",), (1,), **bad)
     with pytest.raises(ConfigError):
         SweepSpec("snr_db", 0, 1, 0.1, ("mc", "exact", "mc"), (1,))
     with pytest.raises(ConfigError):
@@ -363,6 +366,10 @@ def test_bound_ordering_is_relative(cfg_file, tmp_path, capsys, monkeypatch, exc
         pytest.param("m_sr", 10 ** 400, ["--validate"], id="m_sr-int-beyond-float"),
         pytest.param("snr_db", 10 ** 400, ["--validate"], id="snr_db-int-beyond-float"),
         ("snr_db", math.inf, ["--sweep", "mu=0:1:0.5", "--methods", "lb"]),
+        # counts are refused, not truncated, when not integral
+        ("num_users", 3.7, ["--validate"]),
+        ("m_ru", 1.5, ["--validate"]),
+        ("m_ru", [1, 2.5, 1], ["--sweep", "snr_db=0:10:5", "--methods", "mc"]),
     ],
 )
 def test_main_rejects_wrongly_typed_config(tmp_path, capsys, key, value, argv):

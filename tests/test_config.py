@@ -232,6 +232,13 @@ def test_config_roundtrip_and_hash(tmp_path):
     assert h != config_hash(replace(cfg, snr_db=13.0))
     assert h != config_hash(replace(cfg, kappa_ru=0.01))
 
+    # a JSON 2.0 count is the int 2: the config and hash of the int file
+    # (2.5 and booleans are refused: tests/test_cli.py)
+    floats = config_from_dict({**d, "num_users": 3.0, "m_ru": 2.0, "tx_antennas": 2.0})
+    ints = replace(cfg, m_ru=2, tx_antennas=2)
+    assert floats == ints and config_hash(floats) == config_hash(ints)
+    assert all(type(v) is int for v in (floats.num_users, floats.tx_antennas, *floats.m_ru))
+
 
 def test_baseline_keys_are_optional_config_fields(tmp_path):
     import json

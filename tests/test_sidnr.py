@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fdnoma import default_config, derive_constants
+from fdnoma import ConfigError, default_config, derive_constants
 from fdnoma.channel import draw_batch, seeded_stream
 from fdnoma.sidnr import outage_mask
 
@@ -188,6 +188,6 @@ def test_exact_tie_is_outage():
 def test_user_bounds_validated(ideal_cfg):
     dc = derive_constants(ideal_cfg)
     g1, g2, g3 = np.ones(1), np.ones((1, 3)), np.zeros(1)
-    for user in (0, 4):
-        with pytest.raises(ValueError):
+    for user in (0, 4, True, 1.5):
+        with pytest.raises(ConfigError):
             outage_mask(g1, g2, g3, dc, user)
