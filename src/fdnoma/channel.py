@@ -17,15 +17,27 @@ are already marginalized into the SIDNR constants.
 :func:`draw_batch` draws a block's unit-scale variates (:func:`draw_units`,
 which depend on the fading shapes only) and scales them to one
 configuration (:func:`~fdnoma.config.gamma_laws`, the package's one
-statement of the link shapes and scales, and :func:`scale_users`).  As
-``Generator.gamma(k, s)`` is ``s * standard_gamma(k)`` bit for bit, every
-configuration with the same shapes can share one block's unit draws.
+statement of the link shapes and scales, and :func:`scale_users`), so
+every configuration with the same shapes can share one block's unit
+draws.  A unit draw at integer shape ``k <= ERLANG_MAX`` (4) is exactly
+Gamma(k): ``-log((1 - U_1)...(1 - U_k))`` over ``k`` uniforms of the
+column's stream (``random()``), draw ``j`` reading uniforms ``kj`` to
+``kj + k - 1`` (Devroye, *Non-Uniform Random Variate Generation*, 1986,
+ch. IX), which is cheaper than ``standard_gamma(k)`` at these shapes.
+Each ``1 - U`` lies in (0, 1], so every such draw is finite and >= 0.
+Larger shapes, where numpy's sampler is the cheaper, are one
+``standard_gamma(k)`` call.  Uniforms are read in order either way, so
+a column drawn in pieces joins into the column drawn whole.  The
+``log`` is numpy's vectorized one, whose last bit can depend on the
+CPU's SIMD level; a count changes only if a gain lies within that ulp
+of a threshold.
 
 Draws are laid out in columns: column 0 is the first hop, column 1 loop
 interference and column ``2 + i`` user ``i``, whatever the number of
 users (:func:`unit_columns`).  :func:`draw_units` draws column ``c`` at
-Gamma shape ``k`` from ``stream(c, k)``.  The Monte Carlo engine gives
-each (block, column, shape) its own stream, :func:`seeded_stream` of
+Gamma shape ``k`` from ``stream(c, k)``, by the sampler for ``k``.  The
+Monte Carlo engine gives each (block, column, shape) its own stream,
+:func:`seeded_stream` of
 ``(seed, block, column, shape)``: an SFC64 generator seeded by a
 ``SeedSequence`` with that spawn key.  The same key always reproduces the
 same draws and distinct keys are statistically independent, so blocks
@@ -48,6 +60,8 @@ from .config import DerivedConstants, _check_int, gamma_laws
 __all__ = ["seeded_stream", "draw_batch", "draw_units", "scale_users", "unit_columns"]
 
 SEED_MAX = 2 ** 64 - 1  # seeds and substream keys are unsigned 64-bit integers
+ERLANG_MAX = 4  # shapes up to this are drawn as -log of a product of uniforms
+PIECE_ROWS = 1 << 15  # product-of-uniforms draws made at a time; results do not depend on it
 
 
 def seeded_stream(seed: int, *key: int) -> np.random.Generator:
@@ -72,12 +86,32 @@ def unit_columns(shapes, include_li: bool) -> tuple[tuple[int, int], ...]:
 
 
 def draw_units(columns, stream, size: int) -> dict:
-    """Unit-scale variates ``{(column, shape): draws[size]}``, one
-    ``stream(column, shape).standard_gamma(shape, size)`` call per pair of
-    ``columns``, in their order, each filling one row of a single buffer."""
+    """Unit-scale variates ``{(column, shape): draws[size]}``, one column
+    per pair of ``columns``, in their order, from ``stream(column, shape)``,
+    each filling one row of a single buffer.
+
+    Shapes up to ``ERLANG_MAX`` are drawn exactly as ``-log`` of a product
+    of ``k`` uniforms, draw ``j`` reading uniforms ``kj`` to ``kj + k - 1``
+    of ``random()``, ``PIECE_ROWS`` draws at a time; larger shapes are one
+    ``standard_gamma`` call.  Either way a column drawn in pieces joins
+    into the column drawn whole."""
     units = np.empty((len(columns), size))
+    width = max((k for _, k in columns if k <= ERLANG_MAX), default=0)
+    buf = np.empty(min(size, PIECE_ROWS) * width)
     for (c, k), row in zip(columns, units):
-        stream(c, k).standard_gamma(k, size, out=row)
+        rng = stream(c, k)
+        if k > ERLANG_MAX:
+            rng.standard_gamma(k, size, out=row)
+            continue
+        for lo in range(0, size, PIECE_ROWS):
+            out = row[lo:lo + PIECE_ROWS]
+            u = rng.random(out=buf[:len(out) * k].reshape(len(out), k))
+            np.subtract(1.0, u, out=u)  # exact, in (0, 1]: the product stays >= 2**-212
+            prod = u[:, 0]
+            for i in range(1, k):
+                prod = np.multiply(prod, u[:, i], out=out)
+            np.log(prod, out=out)
+            np.subtract(0.0, out, out=out)  # +0.0, not -0.0, where the product is 1
     return dict(zip(columns, units))
 
 

@@ -28,7 +28,7 @@ import scipy
 from . import __version__
 from .analytic import NumericsError, _op_asymptotic, _op_exact, _op_lower_bound, _user_view
 from .baselines import hd_job, oma_job
-from .channel import SEED_MAX
+from .channel import ERLANG_MAX, SEED_MAX
 from .config import ConfigError, SystemConfig, _check_int, config_hash, derive_constants, load_config
 from .montecarlo import Job, _estimate
 
@@ -162,8 +162,9 @@ def _sweep(cfg: SystemConfig, spec: SweepSpec, out_path) -> None:
 
     meta = {
         "tool": f"fdnoma {__version__}",
-        "numpy": np.__version__,  # its SFC64 and Gamma samplers fix the Monte Carlo draws
-        "stream": "SFC64, SeedSequence(seed, spawn_key=(block, column, shape))",
+        "numpy": np.__version__,  # its SFC64, Gamma sampler and log fix the Monte Carlo draws
+        "stream": ("SFC64, SeedSequence(seed, spawn_key=(block, column, shape)); "
+                   f"shape k <= {ERLANG_MAX}: -log((1 - U_1)...(1 - U_k)), else standard_gamma"),
         "scipy": scipy.__version__,
         "config_hash": config_hash(cfg),
         "sweep": f"{spec.variable}={spec.start:g}:{spec.stop:g}:{spec.step:g}",

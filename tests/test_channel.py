@@ -3,11 +3,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from fdnoma import ConfigError, default_config, derive_constants, draw_batch, ordered_sf, seeded_stream
-from fdnoma.channel import draw_units, scale_users, unit_columns
+from fdnoma.channel import ERLANG_MAX, draw_units, scale_users, unit_columns
 from fdnoma.config import gamma_laws
+
+
+def _unit_reference(rng, k, size):
+    """A column of ``size`` unit draws at shape ``k`` by the stream
+    contract, written out: for k <= 4, all k * size uniforms in one call
+    and draw j -log of the product of 1 - U over uniforms kj to kj + k - 1;
+    else standard_gamma."""
+    if k > ERLANG_MAX:
+        return rng.standard_gamma(k, size)
+    u = 1.0 - rng.random(size * k)
+    prod = u[0::k].copy()
+    for i in range(1, k):
+        prod = prod * u[i::k]
+    return 0.0 - np.log(prod)
 
 
 def test_same_key_reproduces_identical_draws(ideal_cfg):
@@ -31,7 +45,7 @@ def test_zero_loop_interference_skips_its_block(ideal_cfg):
     hd = draw_batch(replace(dc, power_li=0.0), hd_rng, 1000)
     assert hd[0].tobytes() == full[0].tobytes() and hd[1].tobytes() == full[1].tobytes()
     assert hd[2] == 0.0 and isinstance(hd[2], float)
-    assert (s3 * hd_rng.standard_gamma(ideal_cfg.m_li, 1000)).tobytes() == full[2].tobytes()
+    assert (s3 * _unit_reference(hd_rng, ideal_cfg.m_li, 1000)).tobytes() == full[2].tobytes()
 
 
 def test_different_seed_or_substream_differs(ideal_cfg):
@@ -50,9 +64,10 @@ def test_different_seed_or_substream_differs(ideal_cfg):
 
 @pytest.mark.parametrize("shape", [1, 2, 3, 4, 6, 2.5])
 def test_gamma_is_scaled_standard_gamma(shape):
-    # draw_batch scales unit draws instead of calling rng.gamma, and one
-    # unit draw serves every configuration of a sweep; both rely on this
-    # identity of numpy's Gamma sampler, bit for bit, stream included
+    # draw_batch scales unit draws instead of calling rng.gamma; at shapes
+    # above ERLANG_MAX, where the unit draws are standard_gamma's, this
+    # identity of numpy's Gamma sampler, bit for bit, stream included, makes
+    # them Generator.gamma draws
     for scale in (0.37, 1 / 3, 2.0e-3, 5.5):
         a, b = seeded_stream(9, 1), seeded_stream(9, 1)
         x = a.gamma(shape, scale, 20_000)
@@ -150,8 +165,9 @@ def test_unsorted_or_single_user_gains_are_only_scaled():
 def test_user_columns_follow_the_stream_contract(include_li):
     # column 0 is the first hop, 1 loop interference and 2 + i user i, for
     # any number of users; draw_units draws each (column, shape) from its
-    # stream, in the order given, and draw_batch's one generator draws them
-    # in the contract order, ending where sequential calls leave it
+    # stream, in the order given, by the contract's sampler for its shape,
+    # and draw_batch's one generator draws them in the contract order,
+    # ending where sequential calls leave it
     shapes = (2, (4, 1, 6, 2), 3)
     columns = unit_columns(shapes, include_li)
     assert columns == ((0, 2), (2, 4), (3, 1), (4, 6), (5, 2)) + (((1, 3),) if include_li else ())
@@ -159,21 +175,35 @@ def test_user_columns_follow_the_stream_contract(include_li):
     units = draw_units(columns, lambda c, k: seeded_stream(5, 3, c, k), 3_001)
     assert list(units) == list(columns)
     for (c, k), unit in units.items():
-        assert unit.tobytes() == seeded_stream(5, 3, c, k).standard_gamma(k, 3_001).tobytes()
+        assert unit.tobytes() == _unit_reference(seeded_stream(5, 3, c, k), k, 3_001).tobytes()
     rng, twin = seeded_stream(5, 3), seeded_stream(5, 3)
     for (c, k), unit in draw_units(columns, lambda c, k: rng, 3_001).items():
-        assert unit.tobytes() == twin.standard_gamma(k, 3_001).tobytes()
+        assert unit.tobytes() == _unit_reference(twin, k, 3_001).tobytes()
     assert rng.random(100).tobytes() == twin.random(100).tobytes()
 
 
-@pytest.mark.parametrize("shape", [1, 2, 3, 6])
+@pytest.mark.parametrize("shape", [1, 2, 3, 4, 5, 6])
 def test_chunked_draws_equal_one_draw(shape):
-    # the engine draws a block's column CHUNK_ROWS rows at a time from one
-    # generator; the chunks must join into the one whole-block draw
-    whole = seeded_stream(3, 1, 2, shape).standard_gamma(shape, 100_003)
+    # the engine draws a block's columns whole or CHUNK_ROWS rows at a time
+    # from one generator each; the pieces must join into the whole draw,
+    # also where a piece ends inside draw_units' own pieces
+    column = ((2, shape),)
+    whole = draw_units(column, lambda c, k: seeded_stream(3, 1, c, k), 100_003)[2, shape]
     rng = seeded_stream(3, 1, 2, shape)
-    parts = [rng.standard_gamma(shape, n) for n in (32_768, 32_768, 30_000, 4_467)]
+    parts = [draw_units(column, lambda c, k: rng, n)[2, shape] for n in (32_768, 32_768, 30_000, 4_467)]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("shape", range(1, ERLANG_MAX + 1))
+def test_product_of_uniforms_draws_are_gamma(shape):
+    # the empirical CDF of 2**20 unit draws at the 1e-3, 0.1, 0.5, 0.9 and
+    # 1 - 1e-3 quantiles of Gamma(shape) lies within 4 binomial sigma
+    n = 1 << 20
+    draws = draw_units(((2, shape),), lambda c, k: seeded_stream(11, 0, c, k), n)[2, shape]
+    assert np.all(np.isfinite(draws)) and np.all(draws >= 0)
+    q = np.array([1e-3, 0.1, 0.5, 0.9, 1 - 1e-3])
+    ecdf = np.searchsorted(np.sort(draws), special.gammaincinv(shape, q), side="right") / n
+    assert np.all(np.abs(ecdf - q) <= 4 * np.sqrt(q * (1 - q) / n))
 
 
 def test_largest_order_statistic_mean_matches_quadrature():

@@ -154,15 +154,21 @@ def test_new_stream_dropped_before_drawing(ideal_cfg, monkeypatch):
     assert seen == {0: [], 1: [0]}
 
 
-def test_kept_and_chunked_draws_give_the_same_counts(ideal_cfg, monkeypatch):
+# first-hop and user shapes: 1 and 1; 4 and 2, both drawn as products of
+# uniforms; 6, drawn by standard_gamma, and 2
+@pytest.mark.parametrize("overrides", [dict(li_quality_mu=0.2), dict(tx_antennas=2, rx_antennas=2, m_sr=2),
+                                       dict(tx_antennas=3, rx_antennas=2, m_sr=2)],
+                         ids=["ideal", "2x2-m_sr2", "3x2-m_sr2"])
+def test_kept_and_chunked_draws_give_the_same_counts(overrides, monkeypatch):
     # a call that keeps its blocks draws each column whole, a larger call
     # CHUNK_ROWS rows at a time; the counts must not tell them apart
+    cfg = default_config(**overrides)
     trials = (CACHED_BLOCKS + 1) * BLOCK_TRIALS - 7
-    chunked = estimate_all_users(ideal_cfg, trials, seed=6, partitions=2)
-    assert _held(_key(ideal_cfg, 6, trials)) == []
+    chunked = estimate_all_users(cfg, trials, seed=6, partitions=2)
+    assert _held(_key(cfg, 6, trials)) == []
     monkeypatch.setattr(montecarlo, "CACHED_BLOCKS", CACHED_BLOCKS + 1)
-    whole = estimate_all_users(ideal_cfg, trials, seed=6, partitions=2)
-    assert _held(_key(ideal_cfg, 6, trials)) == list(range(CACHED_BLOCKS + 1))
+    whole = estimate_all_users(cfg, trials, seed=6, partitions=2)
+    assert _held(_key(cfg, 6, trials)) == list(range(CACHED_BLOCKS + 1))
     assert whole == chunked
 
 
@@ -300,22 +306,23 @@ def test_matches_exact_within_three_sigma(ideal_cfg):
 # before the mask became one peak-demand comparison, the last two (two
 # users; unequal per-user distances and shapes, so the ordered gains are
 # not identically distributed) before the row sort became a
-# compare-exchange network.  The counts were recorded when the draws were
-# keyed by (seed, block, column, shape) on SFC64; they hold for the SFC64
-# and Gamma samplers of numpy 2.4.6 / scipy 1.17.1, the versions the CI pins.
+# compare-exchange network.  The counts were recorded when shapes up to 4
+# were first drawn as -log of a product of uniforms, on SFC64 streams keyed
+# by (seed, block, column, shape); they hold for the SFC64 and Gamma
+# samplers of numpy 2.4.6 / scipy 1.17.1, the versions the CI pins.
 PINNED_COUNTS = [
     (default_config(tx_antennas=2, rx_antennas=2),
-     {"mc": [10978, 7171, 6826], "hd": [2997, 697, 655], "oma": [4671, 4677, 4733]}),
+     {"mc": [11043, 7259, 6929], "hd": [2927, 678, 644], "oma": [4689, 4728, 4707]}),
     (default_config(tx_antennas=3, rx_antennas=2, m_sr=2, li_quality_mu=0.5, kappa_sr=0.1,
                     kappa_ru=0.1, sigma_e_sr_sq=0.02, sigma_e_ru_sq=0.02, sigma_ipsic_sq=0.02,
                     snr_db=15.0),
-     {"mc": [41294, 39291, 30350], "hd": [13634, 953, 18], "oma": [7030, 7079, 7081]}),
+     {"mc": [41539, 38998, 30464], "hd": [13561, 927, 23], "oma": [7096, 7223, 7110]}),
     (default_config(num_users=2, tx_antennas=2, rx_antennas=2, power_coeffs=(0.7, 0.3),
                     thresholds=(0.9, 1.2), snr_db=10.0),
-     {"mc": [1052, 2690], "hd": [274, 347], "oma": [2068, 2052]}),
+     {"mc": [991, 2684], "hd": [265, 324], "oma": [2027, 2061]}),
     (default_config(tx_antennas=2, rx_antennas=2, m_ru=(1, 2, 1), d_ru=(0.4, 0.5, 0.7),
                     kappa_ru=0.05, sigma_e_ru_sq=0.01, snr_db=15.0),
-     {"mc": [22217, 8070, 7463], "hd": [10517, 806, 730], "oma": [4583, 4459, 11575]}),
+     {"mc": [22614, 8205, 7570], "hd": [10687, 794, 703], "oma": [4617, 4479, 11657]}),
 ]
 
 
