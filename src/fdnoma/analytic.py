@@ -23,7 +23,7 @@ Four routes to the same quantity, used to cross-validate each other:
 * :func:`op_asymptotic` - high-SNR behavior: diversity order and array
   gain when the outage decays; when residual loop interference (full
   cancellation quality lost) or channel estimation errors floor it, the
-  floor is the user view at SNR -> inf, evaluated as an outage.
+  floor is :func:`op_exact` on the user view at SNR -> inf.
 
 :func:`op_exact` and :func:`op_oracle_2d` share only the view, the
 ordered CDF and the rule: the oracle reads neither the relay kernel nor
@@ -214,13 +214,15 @@ def _scan_rule(phi, scans, step, name):
     every axis and only the new nodes are evaluated, at most
     ``_HALVINGS`` times; a check that still fails then raises
     :class:`NumericsError`, naming the integral ``name``, as does a window
-    at an end of a scan."""
+    at an end of a scan.  An integrand -inf at every scan node gives 0.0."""
     d = len(scans)
     # per axis k, the nodes a halving adds that are odd on axis k: even on
     # the axes before it, any on the axes after it (on one axis, the midpoints)
     cuts = [(_EVEN,) * k + (_ODD,) + (_ALL,) * (d - k - 1) for k in range(d)]
     with np.errstate(divide="ignore"):
         values = np.concatenate(list(_blocks(phi, scans)))
+        if values.max() == -math.inf:  # the integral is below the double range
+            return 0.0
         windows = [_window(scan, values.max(axis=tuple(j for j in range(d) if j != k)), name)
                    for k, scan in enumerate(scans)]
         body = values[tuple(slice(first, last + 1) for first, last in windows)]
@@ -311,7 +313,8 @@ def _relay_cdf(k1: int, k3: int, theta, mean):
     u = theta / (1 + theta).  So the kernel is P(N1 + N2 >= k1) =
     sum_{j<k1} P(N2 = j) P(k1 - j, mean) + I_u(k1, k3), a finite sum of
     positive terms.  The negative-binomial pmf is taken in log space
-    through log1p(theta), so 1 - u is never formed.
+    through log1p(theta), so 1 - u is never formed.  The terms add in
+    order, so a one-point call equals an array call's element bit for bit.
     """
     theta, mean = np.asarray(theta, dtype=float), np.asarray(mean, dtype=float)
     j, log_coeffs = _nb_log_coeffs(k1, k3)
@@ -319,10 +322,7 @@ def _relay_cdf(k1: int, k3: int, theta, mean):
     j, log_coeffs = j.reshape(shape), log_coeffs.reshape(shape)
     log_nb = log_coeffs + xlogy(j, theta) - (j + k3) * np.log1p(theta)
     terms = np.exp(log_nb) * gammainc(k1 - j, mean)
-    # in order along axis 0, as NumPy adds an array call's terms; it would
-    # add a one-point call's 1-D run pairwise from 8 terms on
-    total = terms.sum(axis=0) if terms.ndim > 1 else np.cumsum(terms)[-1]
-    return total + betainc(k1, k3, theta / (1.0 + theta))
+    return functools.reduce(np.add, terms) + betainc(k1, k3, theta / (1.0 + theta))
 
 
 # Scan steps of the exact body and of the oracle's two rules,
@@ -341,19 +341,29 @@ def _scan(lo, hi, step):
     return lo + step * np.arange(math.ceil((hi - lo) / step))
 
 
+def _total(terms, name) -> float:
+    """The outage, the sum of ``terms`` (at most 1).  A term of 0 may be a rule's
+    integral below the double range, negligible beside 1/_REL_TOL times it."""
+    total = sum(terms)
+    if 0.0 in terms and total * _REL_TOL < np.finfo(float).tiny:
+        raise NumericsError(f"{name} underflows the double range (sum of its terms {total:.3g})")
+    return float(min(total, 1.0))
+
+
 def _op_exact(view: _User | None) -> float:
-    """Exact outage probability of one user view (1 for None): the head
-    P(y <= c) plus the body, the integral over a = log(y - c) of the
-    ordered density times :func:`_relay_cdf`, by :func:`_scan_rule` (step
-    0.25, floor 0.25 / 8 = 0.03125).  At a node the first hop must stay
-    below need(y, z) = s1 * r * (t4*z + t5), r = (y + t2)*t3*D/(s1*(y - c)).
+    """Exact outage probability of any user view, SNR -> inf limits
+    included (1 for None): the head P(y <= c) plus the body, the integral
+    over a = log(y - c) of the ordered density times :func:`_relay_cdf`,
+    by :func:`_scan_rule` (step 0.25, floor 0.25 / 8 = 0.03125).  At a
+    node the first hop must stay below need(y, z) = s1 * r * (t4*z + t5),
+    r = (y + t2)*t3*D/(s1*(y - c)).  At t2 = 0 (c = 0) or t5 = s3 = 0 need
+    does not depend on y, so the hops factorize: :func:`_op_lower_bound`.
 
     The scan is anchored at the user-gain scale and, far left of it at
-    high SNR, at the distance above the floor where need(y, z) at the
-    loop-interference scale z = s3 falls to s1 and the first-hop CDF
-    leaves 1."""
-    if view is None:
-        return 1.0
+    high SNR, at the y - c where need(y, z) at the loop-interference
+    scale z = s3 falls to s1 and the first-hop CDF leaves 1."""
+    if view is None or view.t2 == 0.0 or view.t5 == view.s3 == 0.0:
+        return _op_lower_bound(view)
     head = ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
     c, t2, s2 = view.c, view.t2, view.s2
     log_need0 = math.log(view.t3 * view.D / view.s1)
@@ -370,7 +380,7 @@ def _op_exact(view: _User | None) -> float:
     a_turn = math.log((c + t2) * (view.t5 + view.t4 * view.s3)) + log_need0
     a_scan = _scan(min(a_turn, log_s2) - left, log_s2 + right, _SCAN_STEP)
     body = _scan_rule(phi, (a_scan,), _SCAN_STEP, "exact body in a = log(y - c)")
-    return float(min(head + body, 1.0))
+    return _total((head, body), "exact outage")
 
 
 def op_exact(cfg: SystemConfig, user: int) -> float:
@@ -431,7 +441,7 @@ def op_oracle_2d(cfg: SystemConfig, user: int) -> float:
     r_scan = _scan(min(r_user, r_relay) - left, max(r_user, r_relay) + right, step)
     relay = _scan_rule(phi_relay, (b_scan,), step, "oracle relay term in b = log z")
     rest = _scan_rule(phi_user, (r_scan, b_scan), step, "oracle user term in (r, b) = (log((g1 - K)/K), log z)")
-    return float(min(relay + rest, 1.0))
+    return _total((relay, rest), "oracle outage")
 
 
 # -- closed-form lower bound ------------------------------------------------
@@ -495,22 +505,9 @@ class AsymptoteReport:
     def probability(self, snr_lin: float) -> float:
         """Asymptotic outage at the given linear average SNR."""
         if self.regime == "ideal":
-            return min((self.array_gain * snr_lin) ** (-self.diversity_order), 1.0)
+            x = self.array_gain * snr_lin  # x ** -d >= 1 at x <= 1, and may overflow
+            return 1.0 if x <= 1.0 else x ** (-self.diversity_order)
         return self.floor_value
-
-
-def _op_floor(view: _User) -> float:
-    """Outage of a high-SNR limit view, whose ``t2``, ``t5`` and ``s3`` are
-    their SNR -> inf limits.  With no user-side error (t2 = 0) the floor c
-    is 0 and need does not depend on y, so the outage is the first hop's
-    :func:`_relay_ratio_cdf`; with neither relay-side error nor loop
-    interference the need above c is 0 and the outage is the head;
-    otherwise it is the exact route on the limit view."""
-    if view.t2 == 0.0:
-        return _relay_ratio_cdf(view)
-    if view.t5 == 0.0 and view.s3 == 0.0:
-        return ordered_cdf(view.c, view.l, view.L, view.k2, view.s2)
-    return _op_exact(view)
 
 
 def _op_asymptotic(view: _User | None, user: int) -> AsymptoteReport:
@@ -527,7 +524,7 @@ def _op_asymptotic(view: _User | None, user: int) -> AsymptoteReport:
         limit = view._replace(t2=view.e_ru, t5=view.e_sr, s3=view.s3 if view.mu == 1.0 else 0.0)
         return AsymptoteReport(
             user=l, regime="cee_floor" if cee else "li_floor", diversity_order=0.0,
-            array_gain=None, floor_value=_op_floor(limit),
+            array_gain=None, floor_value=_op_exact(limit),
         )
 
     lam = view.D  # SNR-free demand level

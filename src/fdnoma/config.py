@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 POWER_SUM_TOL = 1e-12
+SNR_DB_MAX = 1000.0  # above it products of the routes' SNR-free constants underflow
 _LIST_KEYS = {"power_coeffs", "thresholds", "hd_thresholds"}  # one entry per user
 _PER_USER_KEYS = _LIST_KEYS | {"m_ru", "d_ru"}  # these two also take one shared scalar
 _OPTIONAL_KEYS = {"hd_thresholds", "oma_threshold"}  # None: the comparison system's default
@@ -113,9 +114,10 @@ class SystemConfig:
     """Every user-facing parameter of the network, in linear units.
 
     ``snr_db`` is the sole decibel quantity: the average SNR (transmit
-    power over unit noise power).  ``power_coeffs`` must sum to one and be
-    strictly decreasing; ``thresholds`` are the per-user linear SIDNR
-    targets for full-duplex operation.  ``m_ru`` and ``d_ru`` accept a
+    power over unit noise power), from about -3,230 dB (-3,080 dB at
+    mu = 0) to ``SNR_DB_MAX`` (1000 dB).  ``power_coeffs`` must sum to one
+    and be strictly decreasing; ``thresholds`` are the per-user linear
+    SIDNR targets for full-duplex operation.  ``m_ru`` and ``d_ru`` accept a
     scalar (shared by all users) or one value per user.  The optional
     ``hd_thresholds`` (one per user) and ``oma_threshold`` are the targets
     of the comparison systems in :mod:`fdnoma.baselines`; ``None`` leaves
@@ -206,6 +208,14 @@ class SystemConfig:
             if self.sigma_e_ru_sq >= d ** (-alpha):
                 raise ConfigError("sigma_e_ru_sq must be below every R-U link power")
 
+        try:  # the SNR and the loop-interference power it scales stay positive finite doubles
+            in_range = self.snr_db <= SNR_DB_MAX and self.snr_lin > 0.0 and _power_li(self) < math.inf
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ConfigError(f"snr_db must be at most {SNR_DB_MAX:g} and keep the linear SNR and the "
+                              f"loop-interference power positive finite doubles, got {self.snr_db!r}")
+
     @property
     def snr_lin(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
@@ -250,6 +260,10 @@ class DerivedConstants:
                 value.setflags(write=False)
 
 
+def _power_li(cfg: SystemConfig) -> float:  # the residual loop-interference power
+    return cfg.li_scale_lambda * cfg.snr_lin ** (cfg.li_quality_mu - 1.0)
+
+
 def _sum_like_numpy(xs) -> float:
     """``np.sum(xs)`` of a tuple of floats, bit for bit: NumPy adds fewer
     than eight values one after another, as the loop does here, and sums
@@ -276,7 +290,7 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
     alpha = cfg.path_loss_exponent
 
     power_sr = cfg.d_sr ** (-alpha)
-    power_li = cfg.li_scale_lambda * g ** (cfg.li_quality_mu - 1.0)
+    power_li = _power_li(cfg)
     power_sr_est = power_sr - cfg.sigma_e_sr_sq
     power_ru_est = [d ** (-alpha) - cfg.sigma_e_ru_sq for d in cfg.d_ru]
 

@@ -40,14 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SEED_MAX, draw_units, scale_users, seeded_stream, unit_columns
+from .channel import PIECE_ROWS, SEED_MAX, draw_units, scale_users, seeded_stream, unit_columns
 from .config import ConfigError, DerivedConstants, SystemConfig, _check_int, derive_constants, gamma_laws
 from .sidnr import outage_mask
 
 __all__ = ["BLOCK_TRIALS", "Job", "OutageEstimate", "estimate", "estimate_all_users"]
 
 BLOCK_TRIALS = 1 << 18  # trials per block; fixed by contract
-CHUNK_ROWS = 1 << 15  # rows scaled and masked at a time; results do not depend on it
 CACHED_BLOCKS = 2  # a call of at most this many blocks keeps them for the next call
 
 
@@ -56,8 +55,8 @@ class OutageEstimate:
     """An outage probability plus its provenance.
 
     ``std_error`` is the binomial standard error sqrt(p(1-p)/trials);
-    ``method`` tags how the value was produced (mc, exact, lb, asymp,
-    oracle, hd, oma).
+    ``method`` tags the Monte Carlo figure that produced the value (mc,
+    hd, oma).
     """
 
     op_value: float
@@ -71,7 +70,7 @@ class OutageEstimate:
 
 @functools.lru_cache(maxsize=1)
 def _kept_blocks(columns, seed: int, trials: int) -> dict:
-    """The slot of the call on this key: ``{index: [units per chunk]}`` of
+    """The slot of the call on this key: ``{index: units}`` of
     the blocks it keeps, shared with the next call on the same key.  A
     call on another key replaces it; calls still in flight keep theirs."""
     return {}
@@ -126,29 +125,24 @@ def _estimate(jobs: list[Job], trials, seed, partitions) -> list[list[OutageEsti
 
     def kernel(block):
         index, size = block
-        pieces = kept.get(index)
-        if pieces is None:
-            # a kept block is held whole, so it is drawn whole; any other is
-            # drawn CHUNK_ROWS rows at a time, which bounds the draws in flight
-            rows = size if keep else CHUNK_ROWS
+        units = kept.get(index)
+        if units is None:
             streams = {pair: seeded_stream(seed, index, *pair) for pair in needed}
-            pieces = (draw_units(needed, lambda c, k: streams[c, k], min(rows, size - lo))
-                      for lo in range(0, size, rows))
-            if keep:
-                pieces = kept[index] = list(pieces)
-                for units in pieces:
-                    for u in units.values():
-                        u.flags.writeable = False
+            draw = functools.partial(draw_units, needed, lambda c, k: streams[c, k])
+            if keep:  # a kept block is drawn whole, once, and read in slices
+                units = kept[index] = draw(size)
+                for u in units.values():
+                    u.flags.writeable = False
         counts = [np.zeros(len(job.users), dtype=np.int64) for job in jobs]
-        for units in pieces:
-            for lo in range(0, len(units[needed[0]]), CHUNK_ROWS):  # row chunks bound the scaled copies
-                chunk = {pair: u[lo:lo + CHUNK_ROWS] for pair, u in units.items()}
-                for (users, scales_ru, sort), members in groups.items():
-                    g2 = scale_users([chunk[pair] for pair in users], scales_ru, sort)
-                    for i in members:
-                        job, ((k1, _, k3), (s1, _, s3)) = jobs[i], laws[i]
-                        g1, g3 = s1 * chunk[0, k1], (s3 * chunk[1, k3] if s3 > 0 else 0.0)
-                        counts[i] += [np.count_nonzero(outage_mask(g1, g2, g3, job.dc, u)) for u in job.users]
+        for lo in range(0, size, PIECE_ROWS):  # row pieces bound the draws and scaled copies in flight
+            chunk = (draw(min(PIECE_ROWS, size - lo)) if units is None
+                     else {pair: u[lo:lo + PIECE_ROWS] for pair, u in units.items()})
+            for (users, scales_ru, sort), members in groups.items():
+                g2 = scale_users([chunk[pair] for pair in users], scales_ru, sort)
+                for i in members:
+                    job, ((k1, _, k3), (s1, _, s3)) = jobs[i], laws[i]
+                    g1, g3 = s1 * chunk[0, k1], (s3 * chunk[1, k3] if s3 > 0 else 0.0)
+                    counts[i] += [np.count_nonzero(outage_mask(g1, g2, g3, job.dc, u)) for u in job.users]
         return np.concatenate(counts)
 
     p = _run_blocks(kernel, trials, partitions) / trials

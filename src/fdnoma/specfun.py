@@ -19,6 +19,8 @@ import math
 import numpy as np
 from scipy.special import gammainc, gammaincc, xlogy
 
+from .config import _check_int
+
 __all__ = [
     "ordered_cdf",
     "ordered_sf",
@@ -26,22 +28,17 @@ __all__ = [
 ]
 
 
-def _check_order(order: int, num_users: int):
-    if not 1 <= order <= num_users:
-        raise ValueError(f"order must lie in 1..{num_users}")
-
-
 def _binomial_halves(x, order: int, num_users: int, shape: int, scale: float):
-    """(CDF, survival) at ``x``: the binomial terms ``C(L, j) F**j S**(L-j)``
+    """[CDF, survival] at ``x`` (floats at a scalar ``x``): the binomial terms ``C(L, j) F**j S**(L-j)``
     split at ``j = l``, both halves divided by their total ``(F + S)**L``
     (1 up to rounding), so that they add to 1 within rounding at every ``L``.
     """
-    _check_order(order, num_users)
+    order = _check_int("order", order, 1, num_users)
     t = np.maximum(np.asarray(x, dtype=float), 0.0) / scale
     F, S = gammainc(shape, t), gammaincc(shape, t)
     terms = [math.comb(num_users, j) * F ** j * S ** (num_users - j) for j in range(num_users + 1)]
     lower, upper = sum(terms[order:]), sum(terms[:order])
-    return lower / (lower + upper), upper / (lower + upper)
+    return [v if v.ndim else float(v) for v in (lower / (lower + upper), upper / (lower + upper))]
 
 
 def ordered_cdf(x, order: int, num_users: int, shape: int, scale: float):
@@ -51,8 +48,7 @@ def ordered_cdf(x, order: int, num_users: int, shape: int, scale: float):
     Every term carries at least ``F**l``, so the deep lower tail keeps
     relative accuracy.
     """
-    out = _binomial_halves(x, order, num_users, shape, scale)[0]
-    return out if out.ndim else float(out)
+    return _binomial_halves(x, order, num_users, shape, scale)[0]
 
 
 def ordered_sf(x, order: int, num_users: int, shape: int, scale: float):
@@ -62,8 +58,7 @@ def ordered_sf(x, order: int, num_users: int, shape: int, scale: float):
     Every term carries at least ``S**(L-l+1)``, so the deep upper tail
     keeps relative accuracy (no ``1 - cdf`` cancellation).
     """
-    out = _binomial_halves(x, order, num_users, shape, scale)[1]
-    return out if out.ndim else float(out)
+    return _binomial_halves(x, order, num_users, shape, scale)[1]
 
 
 def ordered_logpdf(x, order: int, num_users: int, shape: int, scale: float):
@@ -76,8 +71,7 @@ def ordered_logpdf(x, order: int, num_users: int, shape: int, scale: float):
     ``xlogy`` makes ``u**(shape-1)`` exactly 0 in log space at ``shape =
     1``; so ``order = num_users = 1`` is the Gamma log density.
     """
-    _check_order(order, num_users)
-    l, n = order, num_users
+    l, n = _check_int("order", order, 1, num_users), num_users
     u = np.asarray(x, dtype=float) / scale
     out = math.lgamma(n + 1) - math.lgamma(n - l + 1) - math.lgamma(l)
     if l > 1:

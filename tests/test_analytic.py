@@ -21,6 +21,7 @@ from fdnoma import (
 from fdnoma import analytic
 from fdnoma.analytic import _relay_cdf
 from fdnoma.config import ConfigError
+from fdnoma.specfun import ordered_cdf
 
 
 def mp_tail_integral(p, rate, inv_rate, shift, shift_power, dps=30):
@@ -369,6 +370,22 @@ class TestExactVsOracle:
         with pytest.raises(NumericsError, match="probe not contained"):
             analytic._window(np.arange(5.0), np.full(5, np.nan), "probe")
 
+    @pytest.mark.parametrize("snr_db", [-30.0, -40.0])
+    def test_body_below_the_double_range(self, snr_db):
+        # the ordered survival underflows at every node of the body's scan:
+        # the body is below the double range and the outage is its head
+        for (tx, rx), mu, u in itertools.product(((1, 1), (2, 2), (3, 2)), (0.0, 0.2, 1.0), (1, 2, 3)):
+            cfg = default_config(tx_antennas=tx, rx_antennas=rx, li_quality_mu=mu, snr_db=snr_db)
+            assert op_lower_bound(cfg, u) <= op_exact(cfg, u) <= 1.0, (tx, rx, mu, u)
+
+    def test_underflowed_body_needs_a_large_head(self):
+        # an integrand that is -inf at every scan node integrates to 0, which
+        # the outage may drop only beside a term 1/_REL_TOL times the double range
+        assert analytic._scan_rule(lambda a: np.full(len(a), -np.inf), (np.arange(8.0),), 1.0, "probe") == 0.0
+        assert analytic._total((1e-290, 0.0), "probe") == 1e-290
+        with pytest.raises(NumericsError, match="probe underflows the double range"):
+            analytic._total((1e-300, 0.0), "probe")
+
     def test_reference_point(self):
         # moderate-decay loop interference, single antennas, 30 dB
         cfg = default_config(li_quality_mu=0.2, snr_db=30.0)
@@ -700,6 +717,35 @@ class TestAsymptotics:
             r = op_asymptotic(cfg, u)
             assert r.regime == ("cee_floor" if sigma_sr or sigma_ru else "li_floor")
             assert r.floor_value == pytest.approx(op_exact(replace(cfg, snr_db=300.0), u), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("sigma_sr, sigma_ru, mu", [(0.03, 0.0, 1.0), (0.0, 0.03, 0.2)], ids=["t2=0", "t5=s3=0"])
+    def test_exact_on_factorizing_limit_views(self, sigma_sr, sigma_ru, mu):
+        # SNR -> inf limit views whose need does not depend on y: with no
+        # user-side error (t2 = 0) the floor c is 0 and the outage is the
+        # first hop's alone; with no relay-side error or loop interference
+        # (t5 = s3 = 0) no need is left above c and the outage is the head
+        cfg = default_config(tx_antennas=3, rx_antennas=2, li_quality_mu=mu,
+                             sigma_e_sr_sq=sigma_sr, sigma_e_ru_sq=sigma_ru)
+        for u in (1, 2, 3):
+            view = analytic._user_view(derive_constants(cfg), u)
+            limit = view._replace(t2=sigma_ru, t5=sigma_sr, s3=view.s3 if mu == 1.0 else 0.0)
+            if sigma_ru == 0.0:
+                want = analytic._relay_ratio_cdf(limit)
+            else:
+                want = ordered_cdf(limit.c, u, 3, limit.k2, limit.s2)
+            assert 0.0 < want < 1.0
+            assert analytic._op_exact(limit) == want
+            assert op_asymptotic(cfg, u).floor_value == want
+
+    @pytest.mark.parametrize("cfg, user", [
+        (default_config(tx_antennas=8, rx_antennas=8, m_sr=4, m_ru=4, li_quality_mu=0.0, snr_db=-90.0), 1),
+        (default_config(tx_antennas=4, rx_antennas=4, m_sr=3, li_quality_mu=0.0, snr_db=-250.0), 3),
+    ], ids=["8x8-m4", "4x4-m3"])
+    def test_ideal_asymptote_saturates_at_one(self, cfg, user):
+        # where array_gain * snr <= 1 the asymptote is 1, not an overflow
+        r = op_asymptotic(cfg, user)
+        assert r.regime == "ideal" and r.array_gain * cfg.snr_lin <= 1.0
+        assert r.probability(cfg.snr_lin) == 1.0
 
     @pytest.mark.parametrize("m_sr", [1, 2])
     @pytest.mark.parametrize("antennas", [(1, 1), (2, 2), (3, 2)], ids=["1x1", "2x2", "3x2"])

@@ -62,21 +62,6 @@ def test_different_seed_or_substream_differs(ideal_cfg):
         assert not np.array_equal(unit, seeded_stream(*other).standard_gamma(1, 10))
 
 
-@pytest.mark.parametrize("shape", [1, 2, 3, 4, 6, 2.5])
-def test_gamma_is_scaled_standard_gamma(shape):
-    # draw_batch scales unit draws instead of calling rng.gamma; at shapes
-    # above ERLANG_MAX, where the unit draws are standard_gamma's, this
-    # identity of numpy's Gamma sampler, bit for bit, stream included, makes
-    # them Generator.gamma draws
-    for scale in (0.37, 1 / 3, 2.0e-3, 5.5):
-        a, b = seeded_stream(9, 1), seeded_stream(9, 1)
-        x = a.gamma(shape, scale, 20_000)
-        y = scale * b.standard_gamma(shape, 20_000)
-        assert x.tobytes() == y.tobytes()
-        assert a.gamma(shape, scale, 100).tobytes() == (scale * b.standard_gamma(shape, 100)).tobytes()
-        assert a.random(100).tobytes() == b.random(100).tobytes()
-
-
 def test_seed_bounds():
     with pytest.raises(ValueError):
         seeded_stream(-1)
@@ -184,7 +169,7 @@ def test_user_columns_follow_the_stream_contract(include_li):
 
 @pytest.mark.parametrize("shape", [1, 2, 3, 4, 5, 6])
 def test_chunked_draws_equal_one_draw(shape):
-    # the engine draws a block's columns whole or CHUNK_ROWS rows at a time
+    # the engine draws a block's columns whole or PIECE_ROWS rows at a time
     # from one generator each; the pieces must join into the whole draw,
     # also where a piece ends inside draw_units' own pieces
     column = ((2, shape),)

@@ -282,6 +282,33 @@ def test_main_rejects_bad_inputs(cfg_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_far_below_0_db(tmp_path):
+    # at -30 and -40 dB the exact body underflows at every scan node: the
+    # outage is its head, and the sweep writes every row
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config_to_dict(default_config())))
+    out = tmp_path / "low.csv"
+    assert main(["--config", str(p), "--sweep", "snr_db=-30:30:10", "--methods", "exact,lb", "--out", str(out)]) == 0
+    header, rows = read_rows(out)
+    assert len(rows) == 7
+    cells = dict(zip(header, rows[0]))
+    assert [float(cells[f"user{u}_{m}"]) for u in (1, 2, 3) for m in ("exact", "lb")] == [1.0] * 6
+
+
+@pytest.mark.parametrize("snr_db, argv", [
+    (15.0, ["--sweep", "snr_db=2000:2000:1", "--methods", "lb"]),
+    (4000.0, ["--validate"]),
+], ids=["sweep", "validate"])
+def test_main_refuses_snr_out_of_range(tmp_path, capsys, snr_db, argv):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config_to_dict(default_config()) | {"snr_db": snr_db}))
+    out = tmp_path / "x.csv"
+    assert main(["--config", str(p), "--out", str(out), *argv]) == 1
+    captured = capsys.readouterr()
+    assert "config error: snr_db must be at most 1000" in captured.out + captured.err
+    assert not out.exists()
+
+
 def test_main_numeric_failure_exit_code(cfg_file, tmp_path, capsys, monkeypatch):
     # a rule on the scan's own step, never refined, cannot pass its 1e-12
     # halving check: surfaced as a numeric failure, not a silent wrong answer

@@ -81,6 +81,17 @@ def test_estimation_error_bound():
         default_config(d_ru=1.0, sigma_e_ru_sq=2.0)
 
 
+def test_snr_db_range():
+    # above 1000 dB the SNR-free constants leave the double range; far
+    # below 0 dB the linear SNR underflows or, at mu 0, the loop-interference
+    # power lambda / snr_lin overflows
+    assert default_config(snr_db=1000.0).snr_lin == 1e100
+    assert derive_constants(default_config(snr_db=-3235.0)).power_li < math.inf
+    for snr_db, mu in ((1000.5, 0.2), (-3300.0, 0.2), (-3235.0, 0.0)):
+        with pytest.raises(ConfigError, match="snr_db"):
+            default_config(snr_db=snr_db, li_quality_mu=mu)
+
+
 def test_integer_shape_validation():
     with pytest.raises(ConfigError):
         default_config(m_sr=0)

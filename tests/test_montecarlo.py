@@ -161,7 +161,7 @@ def test_new_stream_dropped_before_drawing(ideal_cfg, monkeypatch):
                          ids=["ideal", "2x2-m_sr2", "3x2-m_sr2"])
 def test_kept_and_chunked_draws_give_the_same_counts(overrides, monkeypatch):
     # a call that keeps its blocks draws each column whole, a larger call
-    # CHUNK_ROWS rows at a time; the counts must not tell them apart
+    # PIECE_ROWS rows at a time; the counts must not tell them apart
     cfg = default_config(**overrides)
     trials = (CACHED_BLOCKS + 1) * BLOCK_TRIALS - 7
     chunked = estimate_all_users(cfg, trials, seed=6, partitions=2)

@@ -204,11 +204,12 @@ def test_stochastic_ordering():
 
 
 def test_order_bounds_rejected():
+    # the order is an integer in 1..L: a bool is not read as 1, nor a
+    # fraction truncated or passed to the binomial sums
     for law in (ordered_cdf, ordered_sf, ordered_logpdf):
-        with pytest.raises(ValueError):
-            law(1.0, 0, 3, 2, 1.0)
-        with pytest.raises(ValueError):
-            law(1.0, 4, 3, 2, 1.0)
+        for order in (0, 4, True, 1.5):
+            with pytest.raises(ValueError):
+                law(1.0, order, 3, 2, 1.0)
 
 
 def test_extreme_arguments_stay_finite():
